@@ -261,8 +261,12 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
       sa_cfg.frac_bits = secagg_frac_bits(cfg_.precision.wire);
       secagg::SecureAggregator agg(members, run.params.size(), sa_cfg,
                                    secagg_rng);
+      // Members mask concurrently: each task touches only its own buffer and
+      // slot, and every mask element is an exact Z_p sum, so the slots are
+      // bit-identical for any pool size and task order.
       std::vector<std::optional<std::vector<secagg::Fe>>> slots(members);
-      for (auto m : survivors) {
+      pool_->parallel_for(survivors.size(), [&](std::size_t s) {
+        const std::size_t m = survivors[s];
         const float w = static_cast<float>(
             static_cast<double>(topo_.clients.data_count(group.clients[m])) /
             surviving_data);
@@ -277,7 +281,7 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
           for (auto& v : scaled) v *= w;
           slots[m] = agg.client_masked_input(m, scaled);
         }
-      }
+      });
       try {
         run.params = agg.aggregate(slots);
       } catch (const std::runtime_error&) {

@@ -39,7 +39,7 @@ Fe fe_inv(Fe a) {
 Fe FixedPointCodec::encode(float v) const {
   const double scaled = std::round(static_cast<double>(v) *
                                    static_cast<double>(1ull << frac_bits));
-  // Clamp to +-2^52 (far beyond any model weight after scaling).
+  // Clamp to +-2^53 (far beyond any model weight after scaling).
   const double limit = 9007199254740992.0;  // 2^53
   const double c = std::clamp(scaled, -limit, limit);
   const auto as_int = static_cast<long long>(c);

@@ -31,15 +31,14 @@ SecureAggregator::SecureAggregator(std::size_t num_clients,
   shares_of_self_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     auto share_rng = rng.fork(0x73686172ull /*"shar"*/ + i);
-    // A 61-bit private key fits one field element; the self seed is 64-bit
-    // so it is split into two 32-bit halves packed into one element each.
+    // A 61-bit private key fits one field element.
     shares_of_priv_[i] = shamir_share(Fe(dh_[i].private_key), n_, t_, share_rng);
-    // Self seed: share low and high halves as two polynomials; we pack them
-    // as one share vector of 2n by concatenation? Keep it simple: share the
-    // 61 low bits and fold the top 3 bits into the nonce domain instead.
+    // The self seed is drawn as 64 bits, but only its low 61 bits are shared
+    // (one field element); the top 3 bits are discarded, not carried
+    // anywhere else. Masking the stored seed to the same 61 bits makes the
+    // client's self mask match the one the server reconstructs.
     shares_of_self_[i] =
         shamir_share(Fe(self_seed_[i] & kFieldPrime), n_, t_, share_rng);
-    // Mask the stored seed to the shared 61 bits so reconstruction matches.
     self_seed_[i] &= kFieldPrime;
   }
 }
@@ -68,20 +67,14 @@ std::vector<Fe> SecureAggregator::client_masked_input(
   std::vector<Fe> y(dim_);
   for (std::size_t k = 0; k < dim_; ++k) y[k] = codec_.encode(x[k]);
 
-  // Self mask.
-  ChaChaPrg self_prg(self_seed_[i], self_nonce(i));
-  for (std::size_t k = 0; k < dim_; ++k) y[k] += self_prg.next_fe();
-
-  // Pairwise masks: + for j > i, - for j < i, so they cancel in the sum.
+  // Self mask, then pairwise masks: + for j > i, - for j < i, so they
+  // cancel in the sum.
+  ChaChaPrg::accumulate(self_seed_[i], self_nonce(i), 1, y);
   for (std::size_t j = 0; j < n_; ++j) {
     if (j == i) continue;
     const std::size_t lo = std::min(i, j), hi = std::max(i, j);
-    ChaChaPrg pair_prg(pair_seed(i, j), pair_nonce(lo, hi));
-    if (j > i) {
-      for (std::size_t k = 0; k < dim_; ++k) y[k] += pair_prg.next_fe();
-    } else {
-      for (std::size_t k = 0; k < dim_; ++k) y[k] -= pair_prg.next_fe();
-    }
+    ChaChaPrg::accumulate(pair_seed(i, j), pair_nonce(lo, hi), j > i ? 1 : -1,
+                          y);
   }
   return y;
 }
@@ -112,8 +105,7 @@ std::vector<float> SecureAggregator::aggregate(
     for (std::size_t s = 0; s < t_; ++s)
       shares.push_back(shares_of_self_[i][survivors[s]]);
     const Fe seed = shamir_reconstruct(shares);
-    ChaChaPrg self_prg(seed.value(), self_nonce(i));
-    for (std::size_t k = 0; k < dim_; ++k) sum[k] -= self_prg.next_fe();
+    ChaChaPrg::accumulate(seed.value(), self_nonce(i), -1, sum);
   }
 
   // Remove dropped clients' pairwise masks. Reconstructing a_j lets the
@@ -127,13 +119,8 @@ std::vector<float> SecureAggregator::aggregate(
       const Fe shared = dh_shared(priv_j, dh_[i].public_key);
       const std::uint64_t seed = seed_from_shared(shared);
       const std::size_t lo = std::min(i, j), hi = std::max(i, j);
-      ChaChaPrg pair_prg(seed, pair_nonce(lo, hi));
       // Survivor i added sign(i relative to j): + if j > i else -.
-      if (j > i) {
-        for (std::size_t k = 0; k < dim_; ++k) sum[k] -= pair_prg.next_fe();
-      } else {
-        for (std::size_t k = 0; k < dim_; ++k) sum[k] += pair_prg.next_fe();
-      }
+      ChaChaPrg::accumulate(seed, pair_nonce(lo, hi), j > i ? -1 : 1, sum);
     }
   }
 

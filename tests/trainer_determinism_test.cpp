@@ -133,6 +133,20 @@ TEST(TrainerDeterminism, SecAggInPlaceScalingAgrees) {
   expect_identical(run_with_pool(exp, legacy, 0), run_with_pool(exp, cfg, 2));
 }
 
+TEST(TrainerDeterminism, ParallelSecAggMaskingWithDropoutAcrossPools) {
+  // Members mask concurrently; dropout makes the server recover masks from
+  // Shamir shares, and the fp16 wire narrows the fixed-point encoder.
+  const Experiment exp = build_experiment(tiny_spec());
+  GroupFelConfig cfg = tiny_cfg();
+  cfg.global_rounds = 2;
+  cfg.use_real_secagg = true;
+  cfg.client_dropout_rate = 0.2;
+  cfg.precision.wire = compression::Codec::kFp16;
+  const TrainResult serial = run_with_pool(exp, cfg, 0);
+  expect_identical(serial, run_with_pool(exp, cfg, 2));
+  expect_identical(serial, run_with_pool(exp, cfg, 24));
+}
+
 TEST(TrainerDeterminism, SteadyStateAddsNoModelConstructions) {
   const Experiment exp = build_experiment(tiny_spec());
   const GroupFelConfig cfg = tiny_cfg();
