@@ -62,7 +62,7 @@ void partition_one(ClientPopulation& pop, const PartitionSpec& spec,
   const std::vector<double> props =
       crng.dirichlet(spec.alpha, pop.num_classes());
   auto row = pop.label_counts_mutable(i);
-  for (std::size_t s = 0; s < size; ++s) ++row[crng.categorical(props)];
+  crng.categorical_counts(props, size, row);
   pop.set_seed(i, crng.next_u64());
 
   std::size_t row_total = 0;

@@ -1,5 +1,6 @@
-// Order-preserving candidate pool for the Algorithm 2 greedy inner loop
-// (shared by cov_grouping.cpp and kldg.cpp).
+// Order-preserving candidate pool for KLDG's greedy inner loop (kldg.cpp).
+// CoVG keeps its live candidates in a label-major table instead
+// (cov_grouping.cpp).
 //
 // The greedy admits one client per inner iteration; with a plain vector that
 // admit is an O(n) `erase`, adding a quadratic term per window on top of the

@@ -48,7 +48,9 @@ class IncrementalCov {
   /// CoV of the current group.
   [[nodiscard]] double value() const;
 
-  /// CoV if `client_counts` were added (group unchanged).
+  /// CoV if `client_counts` were added (group unchanged). CoVG's
+  /// label-major candidate scan (cov_grouping.cpp) reproduces this
+  /// operation sequence lane by lane; this is its scalar reference.
   [[nodiscard]] double value_with(std::span<const std::size_t> client_counts) const;
 
   [[nodiscard]] std::size_t total() const noexcept { return total_; }

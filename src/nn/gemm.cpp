@@ -304,8 +304,11 @@ void gemm_skinny(std::size_t m, std::size_t n, std::size_t k, MatView a,
   }
 }
 
-inline float hsum(v16f v) {
-  const float* lanes = reinterpret_cast<const float*>(&v);
+/// Sum of the NR lanes at `lanes`, in lane order. Callers pass a local copy
+/// of the accumulator: a vector parameter would change the ABI without
+/// AVX-512 (-Wpsabi), and the accumulator's own address would keep GCC from
+/// holding the accumulators in registers.
+inline float hsum(const float* lanes) {
   float s = 0.0f;
   for (std::size_t l = 0; l < NR; ++l) s += lanes[l];
   return s;
@@ -345,7 +348,10 @@ void dot_tile(std::size_t n, std::size_t k, const float* __restrict a0,
     }
     float s[IT][4];
     for (std::size_t i = 0; i < IT; ++i)
-      for (std::size_t q = 0; q < 4; ++q) s[i][q] = hsum(acc[i][q]);
+      for (std::size_t q = 0; q < 4; ++q) {
+        const v16f v = acc[i][q];
+        s[i][q] = hsum(reinterpret_cast<const float*>(&v));
+      }
     for (; p < k; ++p) {
       const float b0v = b0[p], b1v = b1[p], b2v = b2[p], b3v = b3[p];
       for (std::size_t i = 0; i < IT; ++i) {
@@ -369,7 +375,10 @@ void dot_tile(std::size_t n, std::size_t k, const float* __restrict a0,
         acc[i] += *reinterpret_cast<const v16f_u*>(a0 + i * ars + p) * bv;
     }
     float s[IT];
-    for (std::size_t i = 0; i < IT; ++i) s[i] = hsum(acc[i]);
+    for (std::size_t i = 0; i < IT; ++i) {
+      const v16f v = acc[i];
+      s[i] = hsum(reinterpret_cast<const float*>(&v));
+    }
     for (; p < k; ++p) {
       const float bjv = bj[p];
       for (std::size_t i = 0; i < IT; ++i) s[i] += a0[i * ars + p] * bjv;
@@ -519,10 +528,14 @@ void gemm_rounded_copy(std::size_t m, std::size_t n, std::size_t k, MatView a,
 
 namespace hv = util::half::simd;
 
+/// Out-parameter rather than a vector return value: a 64-byte vector passed
+/// by value changes the ABI when AVX-512 is off (-Wpsabi).
 template <StoragePrecision SP>
-inline hv::v16f expand16(const std::uint16_t* p) {
-  if constexpr (SP == StoragePrecision::kBf16) return hv::expand_bf16(p);
-  return hv::expand_fp16(p);
+inline void expand16(const std::uint16_t* p, hv::v16f& out) {
+  if constexpr (SP == StoragePrecision::kBf16)
+    hv::expand_bf16(p, out);
+  else
+    hv::expand_fp16(p, out);
 }
 
 /// Full MR×NR tile over a half-width packed B sliver. The A sliver holds
@@ -536,7 +549,8 @@ void kernel_full_h(std::size_t kc, const float* __restrict a,
                    std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
-    const hv::v16f bv = expand16<SP>(b + p * NR);
+    hv::v16f bv;
+    expand16<SP>(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;
@@ -558,7 +572,8 @@ void kernel_edge_h(std::size_t kc, const float* __restrict a,
                    std::size_t nr, float* __restrict c, std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
-    const hv::v16f bv = expand16<SP>(b + p * NR);
+    hv::v16f bv;
+    expand16<SP>(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;

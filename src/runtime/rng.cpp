@@ -1,5 +1,6 @@
 #include "runtime/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -144,19 +145,63 @@ std::vector<double> Rng::dirichlet(std::span<const double> alpha) {
   return out;
 }
 
-std::size_t Rng::categorical(std::span<const double> weights) {
+namespace {
+/// Sum of `weights` in index order; throws on a negative weight or a
+/// non-positive total.
+double categorical_total(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("categorical: negative weight");
     total += w;
   }
   if (total <= 0.0) throw std::invalid_argument("categorical: zero total weight");
+  return total;
+}
+}  // namespace
+
+std::size_t Rng::categorical(std::span<const double> weights) {
+  const double total = categorical_total(weights);
   double u = next_double() * total;
   for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
     u -= weights[i];
     if (u < 0.0) return i;
   }
   return weights.size() - 1;
+}
+
+void Rng::categorical_counts(std::span<const double> weights, std::size_t n,
+                             std::span<std::uint32_t> counts) {
+  if (counts.size() != weights.size())
+    throw std::invalid_argument("categorical_counts: counts/weights size mismatch");
+  const double total = categorical_total(weights);
+  const std::size_t last = weights.size() - 1;
+  // 64 draws run categorical()'s subtraction chain side by side, one lane
+  // per draw, each lane with the same operations in the same order. A lane
+  // leaves the chain at the first class i where u < 0 after subtracting
+  // w[i], so the draws landing on class i are the lanes still in before i
+  // minus those still in after it. Since w >= 0, u never increases and a
+  // lane that has left cannot come back, so counting !(u < 0) per class is
+  // exact (a NaN u never leaves, as in the scalar loop). Padding lanes
+  // start negative and are never counted.
+  constexpr std::size_t kLanes = 64;
+  alignas(64) double u[kLanes];
+  for (std::size_t done = 0; done < n; done += kLanes) {
+    const std::size_t len = std::min(kLanes, n - done);
+    for (std::size_t b = 0; b < len; ++b) u[b] = next_double() * total;
+    for (std::size_t b = len; b < kLanes; ++b) u[b] = -1.0;
+    std::size_t in = len;
+    for (std::size_t i = 0; i < last && in > 0; ++i) {
+      const double w = weights[i];
+      std::size_t still_in = 0;
+      for (std::size_t b = 0; b < kLanes; ++b) {
+        u[b] -= w;
+        still_in += !(u[b] < 0.0);
+      }
+      counts[i] += static_cast<std::uint32_t>(in - still_in);
+      in = still_in;
+    }
+    counts[last] += static_cast<std::uint32_t>(in);
+  }
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -64,6 +64,14 @@ class Rng {
   /// Draws an index from an (unnormalized, nonnegative) weight vector.
   [[nodiscard]] std::size_t categorical(std::span<const double> weights);
 
+  /// Makes `n` categorical(weights) draws and adds each drawn index to
+  /// `counts` (one slot per weight). The counts and the stream position
+  /// afterwards are exactly those of n scalar categorical() calls. Weights
+  /// are validated and summed once, even for n == 0; throws like
+  /// categorical(), and on a counts/weights size mismatch.
+  void categorical_counts(std::span<const double> weights, std::size_t n,
+                          std::span<std::uint32_t> counts);
+
   /// In-place Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> v) {

@@ -8,11 +8,12 @@
 // identity, and float reductions have a fixed block shape, so pools of
 // 0 (nullptr), 2, and 24 threads are interchangeable.
 //
-// Also gated here: the tombstone CandidatePool refactor of the CoVG/KLDG
-// greedy must stay byte-identical to the historical erase-based pool
-// (reference implementations embedded below), and the per-window RNG
-// streams of parallel_windows mode must be independent of window execution
-// order.
+// Also gated here: the CoVG greedy (label-major scan) and the KLDG greedy
+// (tombstone CandidatePool) must stay byte-identical to the historical
+// erase-based greedy (reference implementations embedded below), the
+// partition and CoVG outputs must match hashes pinned on the scalar loops,
+// and the per-window RNG streams of parallel_windows mode must be
+// independent of window execution order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -259,12 +260,122 @@ TEST(ParallelSampling, HistogramBitIdenticalAcrossPools) {
   });
 }
 
-// ---- Tombstone pool vs the historical erase-based greedy ------------------
+// ---- Pinned output hashes -------------------------------------------------
+//
+// FNV-1a hashes of the partition and CoVG outputs, recorded on the scalar
+// per-sample categorical loop and the scalar value_with candidate scan that
+// the batched draw and the label-major scan replaced. A reference compiled
+// into this TU cannot catch FMA contraction or flag drift in the production
+// TUs (it would drift with them); a constant can.
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+void fnv1a(std::uint64_t& h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+std::uint64_t population_hash(const data::ClientPopulation& pop) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t c = 0; c < pop.num_clients(); ++c) {
+    fnv1a(h, pop.data_count(c));
+    fnv1a(h, pop.seed(c));
+    for (const auto count : pop.label_counts(c)) fnv1a(h, count);
+  }
+  return h;
+}
+
+std::uint64_t grouping_hash(const grouping::Grouping& groups) {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& group : groups) {
+    fnv1a(h, group.size());
+    for (const auto member : group) fnv1a(h, member);
+  }
+  return h;
+}
+
+TEST(PinnedHashes, DescriptorPartition) {
+  struct Case {
+    std::size_t classes;
+    double alpha;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{10, 0.5, 0xf3d2701cc5748adeull},
+                        {10, 0.01, 0xe2bafc6e3355f0ddull},
+                        {35, 0.5, 0x589f75bbab2fdd12ull},
+                        {35, 0.01, 0xc6d6b5d9384ccf60ull}};
+  for (const Case& c : cases) {
+    data::PartitionSpec spec = partition_spec(20000);
+    spec.alpha = c.alpha;
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(2023);
+      const std::uint64_t h = population_hash(
+          data::descriptor_partition(spec, c.classes, rng, pool));
+      EXPECT_EQ(h, c.hash) << "classes " << c.classes << " alpha " << c.alpha
+                           << ": 0x" << std::hex << h;
+    });
+  }
+}
+
+/// One-hot clients of a few sizes: many candidates tie in exact
+/// arithmetic, so the scan's pick rests on the last bit of each lane's CoV.
+/// That is where FMA contraction of `s + d * d` shows.
+data::LabelMatrix one_hot_matrix(std::size_t clients, std::size_t labels) {
+  std::vector<std::vector<std::size_t>> rows(
+      clients, std::vector<std::size_t>(labels, 0));
+  for (std::size_t c = 0; c < clients; ++c)
+    rows[c][(c * 7) % labels] = 30 * (1 + c % 3);
+  return data::LabelMatrix(std::move(rows), labels);
+}
+
+TEST(PinnedHashes, CovGrouping) {
+  struct Case {
+    std::size_t classes;
+    bool one_hot;
+    std::size_t window;
+    bool parallel_windows;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{10, false, 0, false, 0xa832bfbff5229b7dull},
+                        {10, false, 64, false, 0x6042252fcd1be051ull},
+                        {10, false, 64, true, 0x9cb680ab7b55ef25ull},
+                        {35, false, 0, false, 0xdc77e00482879957ull},
+                        {35, false, 64, false, 0xc262ee781f5ba13bull},
+                        {35, false, 64, true, 0x6adac3798f56d75dull},
+                        {10, true, 0, false, 0x0bd6f75063d36125ull},
+                        {10, true, 64, false, 0xafb7d0492b21b905ull},
+                        {35, true, 64, true, 0x0f7733f762fcdfd9ull}};
+  for (const Case& c : cases) {
+    runtime::Rng part_rng(19);
+    const data::LabelMatrix matrix =
+        c.one_hot ? one_hot_matrix(700, c.classes)
+                  : data::LabelMatrix::from_population(data::descriptor_partition(
+                        partition_spec(700), c.classes, part_rng));
+    grouping::GroupingParams params;
+    params.min_group_size = 8;
+    params.greedy_window = c.window;
+    params.parallel_windows = c.parallel_windows;
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(29);
+      const std::uint64_t h =
+          grouping_hash(grouping::cov_grouping(matrix, params, rng, pool));
+      EXPECT_EQ(h, c.hash) << "classes " << c.classes << " one-hot "
+                           << c.one_hot << " window " << c.window
+                           << " parallel " << c.parallel_windows << ": 0x"
+                           << std::hex << h;
+    });
+  }
+}
+
+// ---- Production greedy vs the historical erase-based greedy ---------------
 //
 // Reference implementations: verbatim copies of the pre-tombstone greedy
-// (O(n) vector::erase per admission). The production greedy must stay
-// BYTE-identical to these — same candidate visit order, same first-minimum
-// tie-breaking — in both classic and windowed-serial modes.
+// (O(n) vector::erase per admission, scalar value_with scan). The production
+// greedy must stay BYTE-identical to these — same candidate visit order,
+// same first-minimum tie-breaking — in both classic and windowed-serial
+// modes.
 
 void reference_cov_greedy(const data::LabelMatrix& matrix,
                           const grouping::GroupingParams& params,

@@ -193,6 +193,111 @@ TEST(Rng, CategoricalRejectsBadWeights) {
   EXPECT_THROW((void)rng.categorical(negative), std::invalid_argument);
 }
 
+/// Weight vectors for the categorical_counts equivalence test: random
+/// weights with zero and subnormal entries in every position class.
+std::vector<std::vector<double>> categorical_weight_cases(std::size_t m,
+                                                          Rng& rng) {
+  std::vector<double> base(m);
+  for (double& w : base) w = 0.05 + rng.next_double();
+  std::vector<std::vector<double>> cases{base};
+  const auto with = [&](std::size_t i, double value) {
+    std::vector<double> w = base;
+    w[i] = value;
+    return w;
+  };
+  constexpr double kSubnormal = 4.9e-324;
+  cases.push_back(with(m / 2, kSubnormal));
+  cases.push_back(std::vector<double>(m, 1e-310));  // all-subnormal total
+  if (m > 1) {
+    cases.push_back(with(0, 0.0));      // leading zero
+    cases.push_back(with(m - 1, 0.0));  // trailing zero
+    std::vector<double> skewed = with(0, kSubnormal);
+    skewed[m - 1] = 0.0;
+    cases.push_back(skewed);
+  }
+  if (m > 2) {
+    cases.push_back(with(m / 2, 0.0));  // interior zero
+    std::vector<double> one_hot(m, 0.0);
+    one_hot[m - 2] = 1.0;
+    cases.push_back(one_hot);
+  }
+  return cases;
+}
+
+TEST(Rng, CategoricalCountsMatchScalarDraws) {
+  Rng weight_rng(31);
+  for (const std::size_t m : {1u, 2u, 10u, 35u}) {
+    for (const auto& weights : categorical_weight_cases(m, weight_rng)) {
+      for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+        Rng scalar(1000 + n), batched(1000 + n);
+        // Non-zero start: categorical_counts adds to what is there.
+        std::vector<std::uint32_t> expected(m, 7), got(m, 7);
+        for (std::size_t i = 0; i < n; ++i)
+          ++expected[scalar.categorical(weights)];
+        batched.categorical_counts(weights, n, got);
+        EXPECT_EQ(expected, got) << "m " << m << " n " << n;
+        EXPECT_EQ(scalar.next_u64(), batched.next_u64())
+            << "stream position differs, m " << m << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Rng, CategoricalRoundsProductBeforeSubtracting) {
+  // weights {w, w} with w the smallest subnormal: total = 2w, and
+  // u = next_double() * total rounds to 0, w or 2w, so class 0 is drawn
+  // iff the 53-bit draw is <= 2^51 (0.25 * 2w = 0.5w ties to even, i.e.
+  // to 0). A fused multiply-subtract would pick class 0 iff the draw is
+  // < 2^52 instead. The oracle below is integer-only, so it does not move
+  // with the build flags of rng.cpp.
+  const double w = 4.9e-324;
+  const std::vector<double> weights{w, w};
+  Rng oracle(44), scalar(44), batched(44);
+  std::vector<std::uint32_t> expected(2, 0), got(2, 0), scalar_counts(2, 0);
+  const std::size_t n = 1000;
+  for (std::size_t i = 0; i < n; ++i) {
+    ++expected[(oracle.next_u64() >> 11) <= (1ull << 51) ? 0 : 1];
+    ++scalar_counts[scalar.categorical(weights)];
+  }
+  batched.categorical_counts(weights, n, got);
+  EXPECT_EQ(expected, scalar_counts);
+  EXPECT_EQ(expected, got);
+}
+
+TEST(Rng, AffineDrawsRoundTheProduct) {
+  // uniform() and normal(mean, sd) round the product before the add in
+  // every build: rng.cpp is compiled with -ffp-contract=off, so
+  // -march=native cannot fuse them into FMAs and shift the synthesized
+  // data. The oracle stores each product through a volatile, so this TU
+  // cannot fuse it either.
+  Rng rng(51), oracle(51);
+  for (int i = 0; i < 1000; ++i) {
+    const double lo = -3.7, hi = 11.3;
+    volatile double span = (hi - lo) * oracle.next_double();
+    EXPECT_EQ(rng.uniform(lo, hi), lo + span) << "draw " << i;
+    volatile double spread = 1.7 * oracle.normal();
+    EXPECT_EQ(rng.normal(0.3, 1.7), 0.3 + spread) << "draw " << i;
+  }
+}
+
+TEST(Rng, CategoricalCountsRejectsBadInputs) {
+  Rng rng(16);
+  std::vector<std::uint32_t> counts(2, 0);
+  const std::vector<double> zero{0.0, 0.0};
+  EXPECT_THROW(rng.categorical_counts(zero, 10, counts), std::invalid_argument);
+  const std::vector<double> negative{1.0, -0.5};
+  EXPECT_THROW(rng.categorical_counts(negative, 10, counts),
+               std::invalid_argument);
+  EXPECT_THROW(rng.categorical_counts(zero, 0, counts), std::invalid_argument);
+  const std::vector<double> three{1.0, 1.0, 1.0};
+  EXPECT_THROW(rng.categorical_counts(three, 10, counts),
+               std::invalid_argument);
+  // Rejected calls draw nothing and leave the counts alone.
+  EXPECT_EQ(counts, (std::vector<std::uint32_t>{0, 0}));
+  Rng fresh(16);
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(17);
   std::vector<int> v(100);
