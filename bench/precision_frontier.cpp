@@ -1,7 +1,7 @@
 // Precision frontier — quality / speed / bytes across the mixed-precision
-// matrix (PR 8 tentpole): compute storage width {fp32, bf16, fp16} for the
-// client GEMMs crossed with wire codec {fp32, fp16, int8-SR} for every
-// parameter exchange (core::PrecisionConfig). Runs the fig9 MLP scenario
+// matrix: compute storage width {fp32, bf16} for the client GEMMs crossed
+// with wire codec {fp32, fp16, int8-SR, int8} for every parameter exchange
+// (core::PrecisionConfig). Runs the fig9 MLP scenario
 // through core::run_sweep and reports, per cell, the seed-averaged final
 // accuracy, the wall-clock of the cell, and the exact cumulative
 // communication volume the cost model charged.
@@ -40,7 +40,6 @@ std::vector<Cell> frontier_cells() {
   return {
       {"fp32/fp32", {StoragePrecision::kFp32, Codec::kFloat32}},
       {"bf16/fp32", {StoragePrecision::kBf16, Codec::kFloat32}},
-      {"fp16/fp32", {StoragePrecision::kFp16, Codec::kFloat32}},
       {"fp32/fp16", {StoragePrecision::kFp32, Codec::kFp16}},
       {"fp32/int8sr", {StoragePrecision::kFp32, Codec::kInt8Sr}},
       {"fp32/int8", {StoragePrecision::kFp32, Codec::kInt8}},

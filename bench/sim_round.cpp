@@ -1,20 +1,17 @@
-// End-to-end simulation-round benchmark — the tentpole gate for the
-// hot-path overhaul. Runs the full Algorithm 1 loop (T global rounds x
-// K group rounds x E local epochs) on the MLP surrogate at 64 clients /
-// 8 groups and measures rounds/sec plus heap-allocation traffic for the
-// legacy path (clone-per-client, copy-chain aggregation) against the
-// optimized one (per-thread replica cache, in-place parameter exchange,
-// fixed-shape parallel reduction). The two paths must produce bit-identical
-// final parameters — this binary hard-fails otherwise, in both modes.
+// End-to-end simulation-round benchmark. Runs the full Algorithm 1 loop
+// (T global rounds x K group rounds x E local epochs) on the MLP surrogate
+// at 64 clients / 8 groups and measures rounds/sec, heap-allocation traffic
+// per round, and model constructions in steady state.
 //
-//   ./sim_round            timed A/B run, writes BENCH_sim.json
+//   ./sim_round            timed run, writes BENCH_sim.json
 //   ./sim_round --smoke    fast bit-identity + steady-state-clones gate
 //                          for ctest (tiny topology, no JSON)
 //
-// The steady-state check re-runs train() on the same trainer: every worker
-// thread already holds a replica, so the second run must perform ZERO model
-// constructions (the acceptance criterion "per-client steady-state model
-// constructions == 0").
+// The steady-state check re-runs train() on the same trainer on an inline
+// pool: the calling thread already holds its replica, so the second run
+// must perform ZERO model constructions. Its final parameters must also
+// equal the timed run's (shared pool) bit for bit; this binary hard-fails
+// on either violation, in both modes.
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -54,7 +51,7 @@ using namespace groupfel;
 
 namespace {
 
-struct ModeResult {
+struct RunResult {
   double seconds = 0.0;
   double rounds_per_sec = 0.0;
   double allocs_per_round = 0.0;
@@ -80,12 +77,12 @@ core::GroupFelConfig bench_config(std::size_t global_rounds) {
 /// Best-of-N timing (train() is restartable — every RNG stream forks from
 /// per-round logical tags, so repeat runs are bit-identical). Allocation
 /// traffic is read on the last pass, when caches and arenas are warm.
-ModeResult run_mode(const core::Experiment& exp,
+RunResult timed_run(const core::Experiment& exp,
                     const core::GroupFelConfig& cfg, std::size_t reps) {
   core::GroupFelTrainer trainer(
       exp.topology, cfg,
       core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg));
-  ModeResult r;
+  RunResult r;
   r.seconds = 1e300;
   core::TrainResult res;
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -103,13 +100,18 @@ ModeResult run_mode(const core::Experiment& exp,
   return r;
 }
 
+struct SteadyState {
+  std::size_t clones = 0;
+  std::vector<float> final_params;
+};
+
 /// Model constructions performed by a SECOND full train() on an
 /// already-warm trainer. Uses an inline (single-thread) pool so the set of
 /// participating threads is fixed — on a shared multi-worker pool an idle
 /// worker could join late and legitimately clone once, making the 0-gate
-/// flaky. Must return 0: every thread already holds its replica.
-std::size_t steady_state_clones(const core::Experiment& exp,
-                                const core::GroupFelConfig& cfg) {
+/// flaky. Must be 0: every thread already holds its replica.
+SteadyState steady_state(const core::Experiment& exp,
+                         const core::GroupFelConfig& cfg) {
   runtime::ThreadPool inline_pool(0);
   core::GroupFelTrainer trainer(
       exp.topology, cfg,
@@ -117,8 +119,10 @@ std::size_t steady_state_clones(const core::Experiment& exp,
       &inline_pool);
   (void)trainer.train();  // warm-up: the calling thread clones its replica
   const std::size_t before = trainer.replica_clone_count();
-  (void)trainer.train();
-  return trainer.replica_clone_count() - before;
+  SteadyState s;
+  s.final_params = trainer.train().final_params;
+  s.clones = trainer.replica_clone_count() - before;
+  return s;
 }
 
 bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
@@ -128,37 +132,23 @@ bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-void write_json(const ModeResult& legacy, const ModeResult& opt,
-                std::size_t steady_clones, std::size_t clients,
-                std::size_t groups, std::size_t rounds,
+void write_json(const RunResult& run, std::size_t steady_clones,
+                std::size_t clients, std::size_t groups, std::size_t rounds,
                 std::size_t param_count) {
   const std::string path = "BENCH_sim.json";
   std::ofstream out(path);
-  out << "{\n  \"schema\": \"groupfel-sim-bench-v1\",\n"
+  out << "{\n  \"schema\": \"groupfel-sim-bench-v2\",\n"
       << "  \"context\": " << bench::hardware_context_json() << ",\n"
       << "  \"scenario\": {\"clients\": " << clients
       << ", \"groups\": " << groups << ", \"global_rounds\": " << rounds
       << ", \"group_rounds\": 5, \"local_epochs\": 2, \"model\": \"mlp-h64\""
       << ", \"param_count\": " << param_count << "},\n"
-      << "  \"legacy\": {\"rounds_per_sec\": "
-      << util::format_double(legacy.rounds_per_sec)
-      << ", \"allocs_per_round\": "
-      << util::format_double(legacy.allocs_per_round) << "},\n"
-      << "  \"optimized\": {\"rounds_per_sec\": "
-      << util::format_double(opt.rounds_per_sec)
-      << ", \"allocs_per_round\": " << util::format_double(opt.allocs_per_round)
-      << ", \"steady_state_model_constructions\": " << steady_clones
-      << "},\n"
-      << "  \"speedup_vs_legacy_toggles\": "
-      << util::format_double(opt.rounds_per_sec / legacy.rounds_per_sec)
+      << "  \"rounds_per_sec\": " << util::format_double(run.rounds_per_sec)
       << ",\n"
-      << "  \"pre_pr_baseline_rounds_per_sec\": 6.46,\n"
-      << "  \"speedup_vs_pre_pr\": "
-      << util::format_double(opt.rounds_per_sec / 6.46) << ",\n"
-      << "  \"final_params_bit_identical\": true,\n"
-      << "  \"note\": \"pre-PR baseline measured on this scenario at the "
-         "previous commit (clone-per-client loop, pre-overhaul kernels); "
-         "legacy toggles re-run the old orchestration on current kernels\"\n"
+      << "  \"allocs_per_round\": "
+      << util::format_double(run.allocs_per_round) << ",\n"
+      << "  \"steady_state_model_constructions\": " << steady_clones << ",\n"
+      << "  \"final_params_bit_identical_across_pools\": true\n"
       << "}\n";
   std::cout << "wrote " << path << "\n";
 }
@@ -193,39 +183,31 @@ int main(int argc, char** argv) {
     cfg.grouping_params.min_group_size = 5;
   }
 
-  core::GroupFelConfig legacy_cfg = cfg;
-  legacy_cfg.reuse_model_replicas = false;
-  legacy_cfg.parallel_aggregation = false;
-
   const std::size_t reps = smoke ? 1 : 3;
-  const ModeResult legacy = run_mode(exp, legacy_cfg, reps);
-  const ModeResult opt = run_mode(exp, cfg, reps);
-  const std::size_t steady = steady_state_clones(exp, cfg);
+  const RunResult run = timed_run(exp, cfg, reps);
+  const SteadyState steady = steady_state(exp, cfg);
 
-  if (!bit_identical(legacy.final_params, opt.final_params))
-    return fail("legacy and optimized paths diverged (final_params)");
-  if (steady != 0)
-    return fail("replica cache constructed " + std::to_string(steady) +
+  if (!bit_identical(run.final_params, steady.final_params))
+    return fail("shared-pool and inline-pool runs diverged (final_params)");
+  if (steady.clones != 0)
+    return fail("replica cache constructed " + std::to_string(steady.clones) +
                 " models in steady state (expected 0)");
 
   const nn::Model proto = exp.topology.model_factory();
   std::cout << "sim_round: " << spec.num_clients << " clients, "
             << "param_count=" << proto.param_count() << "\n"
-            << "  legacy    " << util::format_double(legacy.rounds_per_sec)
-            << " rounds/s, " << util::format_double(legacy.allocs_per_round)
-            << " allocs/round (acc "
-            << util::format_double(legacy.final_accuracy) << ")\n"
-            << "  optimized " << util::format_double(opt.rounds_per_sec)
-            << " rounds/s, " << util::format_double(opt.allocs_per_round)
-            << " allocs/round, steady-state model ctors = " << steady << "\n"
-            << "  bit-identical final params: yes\n";
+            << "  " << util::format_double(run.rounds_per_sec)
+            << " rounds/s, " << util::format_double(run.allocs_per_round)
+            << " allocs/round, steady-state model ctors = " << steady.clones
+            << " (acc " << util::format_double(run.final_accuracy) << ")\n"
+            << "  bit-identical final params across pools: yes\n";
 
   if (!smoke) {
     // Group count comes out of the grouping pass; report the real number.
     core::GroupFelTrainer probe(
         exp.topology, cfg,
         core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg));
-    write_json(legacy, opt, steady, spec.num_clients, probe.groups().size(),
+    write_json(run, steady.clones, spec.num_clients, probe.groups().size(),
                cfg.global_rounds, proto.param_count());
   }
   return 0;

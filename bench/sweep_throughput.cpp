@@ -2,7 +2,7 @@
 // sweep scheduler, the multi-process backend, and the zero-alloc minibatch
 // pipeline.
 //
-// Four A/B measurements:
+// Four measurements:
 //   1. A fig9-style 6-cell sweep (six methods, one federation) executed
 //      serially vs scheduled over an 8-thread pool via core::run_sweep.
 //      Per-cell histories must be bit-identical; the JSON reports the
@@ -12,11 +12,11 @@
 //      per-backend row so multi-core hosts show the process-level speedup.
 //   3. DataSet::gather (fresh Batch per call) vs gather_into (caller-owned
 //      Batch). Steady-state gather_into must perform zero heap allocations.
-//   4. run_local_sgd with reuse_batch_buffers on vs off. A steady-state
-//      call (warm thread-local scratch, warm layer buffers) must perform
-//      zero tensor constructions and zero heap allocations.
+//   4. run_local_sgd steps/sec. A steady-state call (warm thread-local
+//      scratch, warm layer buffers) must perform zero tensor constructions
+//      and zero heap allocations.
 //
-//   ./sweep_throughput            timed A/B run, writes BENCH_sweep.json
+//   ./sweep_throughput            timed run, writes BENCH_sweep.json
 //   ./sweep_throughput --smoke    fast bit-identity + zero-alloc + journal
 //                                 resume gate for ctest (tiny topology, no
 //                                 JSON); --backend=proc --smoke is the CI
@@ -102,11 +102,10 @@ std::vector<core::SweepCell> make_cells(const core::ExperimentSpec& spec,
   return cells;
 }
 
-/// Pre-PR driver emulation: the old bench_common per-method loop built a
-/// fresh experiment for every cell (no spec dedup) and trained through the
-/// allocating minibatch path (fresh Batch / logits / LossResult per SGD
-/// step). Histories must still match the engine bit for bit — the zero-alloc
-/// pipeline and the scheduler are pure execution-strategy changes.
+/// Pre-scheduler driver emulation: the old bench_common per-method loop
+/// built a fresh experiment for every cell (no spec dedup). Histories must
+/// still match the engine bit for bit — the scheduler is a pure
+/// execution-strategy change.
 core::SweepRunResult legacy_loop(const std::vector<core::SweepCell>& cells,
                                  runtime::ThreadPool* pool) {
   core::SweepRunResult out;
@@ -117,9 +116,7 @@ core::SweepRunResult legacy_loop(const std::vector<core::SweepCell>& cells,
     const core::SweepCell& cell = cells[i];
     runtime::Timer t;
     const core::Experiment exp = core::build_experiment(cell.spec);
-    core::GroupFelConfig cfg = cell.config;
-    cfg.local.reuse_batch_buffers = false;
-    core::GroupFelTrainer trainer(exp.topology, cfg,
+    core::GroupFelTrainer trainer(exp.topology, cell.config,
                                   core::build_cost_model(cell.task, cell.op),
                                   pool);
     out.cells[i].label = cell.label;
@@ -227,12 +224,9 @@ GatherStats gather_ab(const data::DataSet& train, std::size_t reps) {
 // ---- 3. steady-state SGD step --------------------------------------------
 
 struct SgdStats {
-  double legacy_steps_per_sec = 0.0;
-  double reuse_steps_per_sec = 0.0;
-  double legacy_allocs_per_step = 0.0;
+  double steps_per_sec = 0.0;
   std::size_t steady_tensor_ctors = 0;
   std::size_t steady_allocs = 0;
-  bool bit_identical = false;
 };
 
 /// Steps per local epoch for this shard/config.
@@ -241,7 +235,7 @@ std::size_t steps_per_call(const data::ClientShard& shard,
   return cfg.epochs * ((shard.size() + cfg.batch_size - 1) / cfg.batch_size);
 }
 
-SgdStats sgd_ab(const core::Experiment& exp, std::size_t reps) {
+SgdStats sgd_steps(const core::Experiment& exp, std::size_t reps) {
   const data::ClientShard& shard = exp.topology.clients.shards().front();
   algorithms::LocalTrainConfig cfg;
   cfg.epochs = 2;
@@ -250,37 +244,14 @@ SgdStats sgd_ab(const core::Experiment& exp, std::size_t reps) {
 
   SgdStats st;
   const std::size_t steps = steps_per_call(shard, cfg) * reps;
-
-  // Legacy path: fresh Batch / logits / LossResult per step.
-  nn::Model legacy_model = exp.topology.model_factory();
-  {
-    algorithms::LocalTrainConfig legacy = cfg;
-    legacy.reuse_batch_buffers = false;
-    runtime::Rng rng(11);
-    const std::size_t a0 = g_allocs.load(std::memory_order_relaxed);
-    runtime::Timer t;
-    for (std::size_t r = 0; r < reps; ++r)
-      (void)algorithms::run_local_sgd(legacy_model, shard, legacy, rng,
-                                      nullptr);
-    st.legacy_steps_per_sec = static_cast<double>(steps) / t.seconds();
-    st.legacy_allocs_per_step =
-        static_cast<double>(g_allocs.load(std::memory_order_relaxed) - a0) /
-        static_cast<double>(steps);
-  }
-
-  // Reuse path; the same RNG seed consumes the stream identically, so the
-  // resulting parameters must match the legacy model's bit for bit.
-  nn::Model reuse_model = exp.topology.model_factory();
+  nn::Model model = exp.topology.model_factory();
   {
     runtime::Rng rng(11);
     runtime::Timer t;
     for (std::size_t r = 0; r < reps; ++r)
-      (void)algorithms::run_local_sgd(reuse_model, shard, cfg, rng, nullptr);
-    st.reuse_steps_per_sec = static_cast<double>(steps) / t.seconds();
+      (void)algorithms::run_local_sgd(model, shard, cfg, rng, nullptr);
+    st.steps_per_sec = static_cast<double>(steps) / t.seconds();
   }
-  st.bit_identical =
-      bit_identical(legacy_model.flat_parameters(),
-                    reuse_model.flat_parameters());
 
   // Steady state: scratch and layer buffers are warm after the timed reps;
   // one more call must construct zero tensors and allocate nothing.
@@ -288,7 +259,7 @@ SgdStats sgd_ab(const core::Experiment& exp, std::size_t reps) {
     runtime::Rng rng(12);
     const std::uint64_t c0 = nn::tensor_construction_count();
     const std::size_t a0 = g_allocs.load(std::memory_order_relaxed);
-    (void)algorithms::run_local_sgd(reuse_model, shard, cfg, rng, nullptr);
+    (void)algorithms::run_local_sgd(model, shard, cfg, rng, nullptr);
     st.steady_tensor_ctors =
         static_cast<std::size_t>(nn::tensor_construction_count() - c0);
     st.steady_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
@@ -317,7 +288,7 @@ void write_json(double legacy_s, double serial_s, double sched_s,
   };
   const std::size_t hw = std::thread::hardware_concurrency();
   std::ofstream out(path);
-  out << "{\n  \"schema\": \"groupfel-sweep-bench-v2\",\n"
+  out << "{\n  \"schema\": \"groupfel-sweep-bench-v3\",\n"
       << "  \"context\": " << bench::hardware_context_json() << ",\n"
       << "  \"sweep\": {\"cells\": " << cells << ", \"threads\": " << threads
       << ", \"clients\": " << clients
@@ -351,21 +322,16 @@ void write_json(double legacy_s, double serial_s, double sched_s,
       << util::format_double(gs.alloc_allocs_per_call)
       << ", \"into_steady_state_allocs\": " << gs.into_steady_allocs
       << "},\n"
-      << "  \"local_sgd\": {\"legacy_steps_per_sec\": "
-      << util::format_double(ss.legacy_steps_per_sec)
-      << ", \"reuse_steps_per_sec\": "
-      << util::format_double(ss.reuse_steps_per_sec)
-      << ", \"legacy_allocs_per_step\": "
-      << util::format_double(ss.legacy_allocs_per_step)
+      << "  \"local_sgd\": {\"steps_per_sec\": "
+      << util::format_double(ss.steps_per_sec)
       << ", \"steady_state_tensor_constructions\": " << ss.steady_tensor_ctors
-      << ", \"steady_state_allocs\": " << ss.steady_allocs
-      << ", \"bit_identical\": true},\n"
-      << "  \"note\": \"legacy_loop re-runs the pre-PR driver strategy "
-         "(fresh experiment build per cell, allocating minibatch path) on "
-         "current kernels; wall-clock gain from concurrent cells is bounded "
-         "by hardware_threads — on a single-core host the scheduler's win is "
-         "overhead-free multiplexing plus the zero-alloc pipeline, and the "
-         "speedup scales with available cores\"\n"
+      << ", \"steady_state_allocs\": " << ss.steady_allocs << "},\n"
+      << "  \"note\": \"legacy_loop re-runs the pre-scheduler driver "
+         "strategy (fresh experiment build per cell) on current kernels; "
+         "wall-clock gain from concurrent cells is bounded by "
+         "hardware_threads — on a single-core host the scheduler's win is "
+         "overhead-free multiplexing, and the speedup scales with available "
+         "cores\"\n"
       << "}\n";
   std::cout << "wrote " << path << "\n";
 }
@@ -404,7 +370,7 @@ int main(int argc, char** argv) {
   if (!sweeps_identical(serial, sched))
     return fail("scheduled sweep diverged from the serial loop");
   if (!sweeps_identical(legacy, sched))
-    return fail("engine sweep diverged from the pre-PR driver loop");
+    return fail("engine sweep diverged from the pre-scheduler driver loop");
 
   // Process backend: the same cells through forked workers over the wire
   // protocol. Worker count from --workers (default: hardware concurrency).
@@ -449,9 +415,7 @@ int main(int argc, char** argv) {
                 std::to_string(gs.into_steady_allocs) +
                 " times in steady state (expected 0)");
 
-  const SgdStats ss = sgd_ab(exp, smoke ? 2 : 10);
-  if (!ss.bit_identical)
-    return fail("reuse_batch_buffers diverged from the legacy SGD path");
+  const SgdStats ss = sgd_steps(exp, smoke ? 2 : 10);
   if (ss.steady_tensor_ctors != 0)
     return fail("steady-state SGD performed " +
                 std::to_string(ss.steady_tensor_ctors) +
@@ -465,7 +429,7 @@ int main(int argc, char** argv) {
             << " threads (" << std::thread::hardware_concurrency()
             << " hardware)\n"
             << "  legacy    " << util::format_double(legacy.total_seconds)
-            << " s (pre-PR driver loop)\n"
+            << " s (pre-scheduler driver loop)\n"
             << "  serial    " << util::format_double(serial.total_seconds)
             << " s\n"
             << "  scheduled " << util::format_double(sched.total_seconds)
@@ -485,14 +449,11 @@ int main(int argc, char** argv) {
             << " allocs) vs gather_into "
             << util::format_double(gs.into_ns_per_call)
             << " ns/call (0 steady-state allocs)\n"
-            << "  local SGD legacy "
-            << util::format_double(ss.legacy_steps_per_sec)
-            << " steps/s vs reuse "
-            << util::format_double(ss.reuse_steps_per_sec)
+            << "  local SGD " << util::format_double(ss.steps_per_sec)
             << " steps/s; steady-state tensor ctors = "
             << ss.steady_tensor_ctors
             << ", allocs = " << ss.steady_allocs << "\n"
-            << "  bit-identical: sweeps yes, SGD paths yes\n";
+            << "  bit-identical sweeps: yes\n";
 
   if (!smoke)
     write_json(legacy.total_seconds, serial.total_seconds,

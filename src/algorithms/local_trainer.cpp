@@ -26,10 +26,8 @@ double run_local_sgd(nn::Model& model, data::ClientDataRef data,
   nn::SgdOptimizer opt({.lr = cfg.lr,
                         .momentum = cfg.momentum,
                         .weight_decay = cfg.weight_decay});
-  const bool reuse = cfg.reuse_batch_buffers;
   thread_local SgdScratch scratch;
-  std::vector<std::size_t> order_storage;  // legacy path: fresh per call
-  std::vector<std::size_t>& order = reuse ? scratch.order : order_storage;
+  std::vector<std::size_t>& order = scratch.order;
   order.resize(data.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
 
@@ -40,33 +38,21 @@ double run_local_sgd(nn::Model& model, data::ClientDataRef data,
   model.zero_grad();
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     // The permutation buffer is reused; the shuffle itself is per-epoch and
-    // cumulative, consuming the RNG stream identically on both paths.
+    // cumulative, so the RNG stream does not depend on the buffer's history.
     rng.shuffle(order);
     for (std::size_t start = 0; start < order.size();
          start += cfg.batch_size) {
       const std::size_t end = std::min(order.size(), start + cfg.batch_size);
       const std::span<const std::size_t> batch_idx(order.data() + start,
                                                    end - start);
-      double step_loss;
-      if (reuse) {
-        data.batch_into(batch_idx, scratch.batch);
-        const nn::Tensor& logits =
-            model.forward(scratch.batch.features, /*train=*/true);
-        nn::softmax_cross_entropy_into(logits, scratch.batch.labels,
-                                       scratch.loss);
-        model.backward(scratch.loss.grad);
-        step_loss = scratch.loss.loss;
-      } else {
-        const data::DataSet::Batch batch = data.batch(batch_idx);
-        const nn::Tensor logits =
-            model.forward(batch.features, /*train=*/true);
-        const nn::LossResult lr =
-            nn::softmax_cross_entropy(logits, batch.labels);
-        model.backward(lr.grad);
-        step_loss = lr.loss;
-      }
+      data.batch_into(batch_idx, scratch.batch);
+      const nn::Tensor& logits =
+          model.forward(scratch.batch.features, /*train=*/true);
+      nn::softmax_cross_entropy_into(logits, scratch.batch.labels,
+                                     scratch.loss);
+      model.backward(scratch.loss.grad);
       opt.step(model, adjust, /*zero_grads=*/true);
-      loss_sum += step_loss;
+      loss_sum += scratch.loss.loss;
       ++loss_batches;
     }
   }

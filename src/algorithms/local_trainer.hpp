@@ -23,12 +23,6 @@ struct LocalTrainConfig {
   float lr = 0.05f;
   float momentum = 0.0f;
   float weight_decay = 0.0f;
-  /// A/B toggle for the zero-alloc minibatch pipeline: when true (default)
-  /// run_local_sgd reuses per-thread batch/loss/permutation buffers via
-  /// batch_into + softmax_cross_entropy_into; when false it re-allocates a
-  /// fresh Batch and gradient per step (the legacy path benchmarked by
-  /// bench/sweep_throughput). Both paths are bit-identical.
-  bool reuse_batch_buffers = true;
 };
 
 class LocalUpdateRule {
@@ -59,7 +53,10 @@ class LocalUpdateRule {
 };
 
 /// Shared minibatch-SGD loop used by all rules. `adjust` is the per-step
-/// gradient hook (may be null).
+/// gradient hook (may be null). The epoch permutation, the gathered batch
+/// and the loss gradient live in per-thread scratch that persists across
+/// calls, so steady-state steps construct no tensors; the result does not
+/// depend on what an earlier call left in that scratch.
 double run_local_sgd(nn::Model& model, data::ClientDataRef data,
                      const LocalTrainConfig& cfg, runtime::Rng& rng,
                      const nn::SgdOptimizer::GradAdjust& adjust);

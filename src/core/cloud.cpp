@@ -26,19 +26,6 @@ std::vector<std::size_t> Cloud::sample(std::size_t s,
   return sampling::sample_groups(p_, std::min(s, p_.size()), rng);
 }
 
-std::vector<float> Cloud::aggregate(
-    std::span<const std::size_t> sampled,
-    const std::vector<std::vector<float>>& group_models) const {
-  GF_CHECK_EQ(sampled.size(), group_models.size(),
-              "Cloud::aggregate: one model per sampled group");
-  for (std::size_t i = 0; i < sampled.size(); ++i)
-    GF_CHECK(sampled[i] < groups_.size(), "Cloud::aggregate: group index ",
-             sampled[i], " out of range [0, ", groups_.size(), ")");
-  const std::vector<double> w = sampling::aggregation_weights(
-      aggregation_, sampled, p_, group_sizes_);
-  return nn::weighted_average(group_models, w);
-}
-
 void Cloud::aggregate_into(std::span<float> out,
                            std::span<const std::size_t> sampled,
                            std::span<const std::span<const float>> group_models,

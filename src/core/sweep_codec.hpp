@@ -24,7 +24,11 @@ namespace groupfel::core {
 
 /// Bump when any encoded struct changes shape.
 /// v2: GroupingParams gained parallel_windows.
-inline constexpr std::uint32_t kSweepCodecVersion = 2;
+/// v3: GroupFelConfig lost its two trainer A/B booleans (replica reuse and
+///     parallel aggregation) and LocalTrainConfig its batch-buffer boolean;
+///     StoragePrecision accepts only fp32 (0) and bf16 (1). Journals
+///     written by v2 are rejected on load.
+inline constexpr std::uint32_t kSweepCodecVersion = 3;
 
 // Field-level codecs (composable; used by the top-level payloads below and
 // directly by tests).

@@ -71,8 +71,10 @@ std::map<std::size_t, SweepCellResult> SweepJournal::load(
     nn::ByteReader r(frame.payload);
     const std::uint32_t version = r.u32();
     if (version != kSweepCodecVersion)
-      throw std::runtime_error("SweepJournal: " + path + " uses codec version " +
-                               std::to_string(version));
+      throw std::runtime_error(
+          "SweepJournal: " + path + " uses codec version " +
+          std::to_string(version) + ", this build expects version " +
+          std::to_string(kSweepCodecVersion) + "; delete it or drop --resume");
     const std::uint64_t fp = r.u64();
     const std::size_t cells = r.size();
     r.expect_done();

@@ -32,8 +32,9 @@ class SweepJournal {
 
   /// Parses `path` and returns the completed cells it holds, keyed by cell
   /// index. Missing file -> empty map. Throws std::runtime_error when the
-  /// file is not a journal (bad header) or was written for a different
-  /// sweep (`fingerprint`/`num_cells` mismatch). Tolerates a truncated or
+  /// file is not a journal (bad header), was written with another
+  /// kSweepCodecVersion, or was written for a different sweep
+  /// (`fingerprint`/`num_cells` mismatch). Tolerates a truncated or
   /// checksum-failing tail — everything after the first damaged frame is
   /// dropped.
   [[nodiscard]] static std::map<std::size_t, SweepCellResult> load(

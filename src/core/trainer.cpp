@@ -60,10 +60,9 @@ GroupFelTrainer::GroupFelTrainer(FederationTopology topology,
   runtime::Rng init_rng = run_rng_.fork(0x696e6974ull /*"init"*/);
   prototype_.init(init_rng);
   // Compute-width selection: the prototype carries the storage precision, so
-  // every clone (replica cache and legacy clone-per-client path alike)
-  // inherits it. kFp32 leaves the exact legacy kernels untouched.
+  // every replica cloned from it inherits it.
   prototype_.set_compute_precision(cfg_.precision.compute);
-  if (cfg_.reuse_model_replicas) replicas_.set_prototype(prototype_);
+  replicas_.set_prototype(prototype_);
 
   runtime::Rng group_rng = run_rng_.fork(0x67727570ull /*"grup"*/);
   form_groups(group_rng);
@@ -105,10 +104,8 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
   const std::size_t dim = run.params.size();
   // Persistent per-member parameter buffers: sized once here, refilled in
   // place every group round, so the K-round loop performs no per-client
-  // vector allocations (the legacy path overwrites them with fresh vectors).
-  std::vector<std::vector<float>> locals(members);
-  if (cfg_.reuse_model_replicas)
-    for (auto& l : locals) l.resize(dim);
+  // vector allocations.
+  std::vector<std::vector<float>> locals(members, std::vector<float>(dim));
   std::vector<double> losses(members, 0.0);
   std::vector<bool> dropped(members, false);
   std::vector<std::size_t> survivors;
@@ -148,22 +145,14 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
       const std::size_t cid = group.clients[m];
       runtime::Rng client_rng =
           run_rng_.fork(mix_tag(round, group_tag * 131 + k, cid));
-      if (cfg_.reuse_model_replicas) {
-        // O(1) model constructions per worker thread: reset this thread's
-        // persistent replica to the group model instead of cloning the
-        // prototype, and read the result into the member's reused buffer.
-        nn::Model& model = replicas_.local();
-        model.set_flat_parameters(run.params);
-        losses[m] = rule_->train_client(model, topo_.clients.client(cid), run.params,
-                                        cid, local_cfg, client_rng);
-        model.flat_parameters_into(locals[m]);
-      } else {
-        nn::Model model = prototype_.clone();
-        model.set_flat_parameters(run.params);
-        losses[m] = rule_->train_client(model, topo_.clients.client(cid), run.params,
-                                        cid, local_cfg, client_rng);
-        locals[m] = model.flat_parameters();
-      }
+      // O(1) model constructions per worker thread: reset this thread's
+      // persistent replica to the group model instead of cloning the
+      // prototype, and read the result into the member's reused buffer.
+      nn::Model& model = replicas_.local();
+      model.set_flat_parameters(run.params);
+      losses[m] = rule_->train_client(model, topo_.clients.client(cid), run.params,
+                                      cid, local_cfg, client_rng);
+      model.flat_parameters_into(locals[m]);
     });
 
     // Threat model: malicious clients submit sign-flipped, scaled updates
@@ -211,17 +200,11 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
       std::vector<std::vector<float>> updates;
       updates.reserve(survivors.size());
       for (auto m : survivors) {
-        if (cfg_.reuse_model_replicas) {
-          // Turn the local model into its update in place and lend the
-          // buffer to the filter (moved back below, so the next group round
-          // refills it without reallocating).
-          for (std::size_t i = 0; i < dim; ++i) locals[m][i] -= run.params[i];
-          updates.push_back(std::move(locals[m]));
-        } else {
-          updates.push_back(locals[m]);
-          for (std::size_t i = 0; i < updates.back().size(); ++i)
-            updates.back()[i] -= run.params[i];
-        }
+        // Turn the local model into its update in place and lend the buffer
+        // to the filter (moved back below, so the next group round refills
+        // it without reallocating).
+        for (std::size_t i = 0; i < dim; ++i) locals[m][i] -= run.params[i];
+        updates.push_back(std::move(locals[m]));
       }
       runtime::Rng flame_rng =
           run_rng_.fork(mix_tag(0xf1a3eull, round, group_tag * 131 + k));
@@ -231,9 +214,8 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
                                     std::memory_order_relaxed);
       for (std::size_t i = 0; i < run.params.size(); ++i)
         run.params[i] += filtered.aggregated[i];
-      if (cfg_.reuse_model_replicas)
-        for (std::size_t s = 0; s < survivors.size(); ++s)
-          locals[survivors[s]] = std::move(updates[s]);
+      for (std::size_t s = 0; s < survivors.size(); ++s)
+        locals[survivors[s]] = std::move(updates[s]);
       accumulate_losses();
       continue;
     }
@@ -270,27 +252,21 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
         const float w = static_cast<float>(
             static_cast<double>(topo_.clients.data_count(group.clients[m])) /
             surviving_data);
-        if (cfg_.reuse_model_replicas) {
-          // The protocol quantizes the scaled vector into field elements
-          // anyway; scale the member's buffer in place instead of copying
-          // the full model (it is refilled next round).
-          for (auto& v : locals[m]) v *= w;
-          slots[m] = agg.client_masked_input(m, locals[m]);
-        } else {
-          std::vector<float> scaled = locals[m];
-          for (auto& v : scaled) v *= w;
-          slots[m] = agg.client_masked_input(m, scaled);
-        }
+        // The protocol quantizes the scaled vector into field elements
+        // anyway; scale the member's buffer in place instead of copying the
+        // full model (it is refilled next round).
+        for (auto& v : locals[m]) v *= w;
+        slots[m] = agg.client_masked_input(m, locals[m]);
       });
       try {
         run.params = agg.aggregate(slots);
       } catch (const std::runtime_error&) {
         // Below threshold: aggregation aborts, model carries over.
       }
-    } else if (cfg_.parallel_aggregation) {
+    } else {
       // Fixed-shape reduction straight out of the members' buffers into
       // run.params (pure output — the reduction reads only `locals`).
-      // Bit-identical to the legacy copy chain for any pool size.
+      // Bit-identical for any pool size.
       std::vector<std::span<const float>> views;
       std::vector<double> weights;
       views.reserve(survivors.size());
@@ -305,23 +281,6 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
             surviving_data);
       }
       nn::weighted_average_into(run.params, views, weights, pool_);
-    } else {
-      std::vector<std::vector<float>> surviving_models;
-      std::vector<double> weights;
-      surviving_models.reserve(survivors.size());
-      for (auto m : survivors) {
-        GF_CHECK_EQ(locals[m].size(), run.params.size(),
-                    "group aggregation: client ", group.clients[m],
-                    " returned a flat vector of the wrong length");
-        if (cfg_.reuse_model_replicas)
-          surviving_models.push_back(locals[m]);
-        else
-          surviving_models.push_back(std::move(locals[m]));
-        weights.push_back(
-            static_cast<double>(topo_.clients.data_count(group.clients[m])) /
-            surviving_data);
-      }
-      run.params = nn::weighted_average(surviving_models, weights);
     }
     accumulate_losses();
   }
@@ -338,20 +297,12 @@ void GroupFelTrainer::fedclar_clusterize(const std::vector<float>& global_params
   pool_->parallel_for(n, [&](std::size_t cid) {
     runtime::Rng rng = run_rng_.fork(mix_tag(0xfedc1a5ull, round, cid));
     algorithms::SgdRule probe;  // clustering probes use plain SGD
-    if (cfg_.reuse_model_replicas) {
-      nn::Model& model = replicas_.local();
-      model.set_flat_parameters(global_params);
-      (void)probe.train_client(model, topo_.clients.client(cid), global_params, cid,
-                               probe_cfg, rng);
-      deltas[cid].resize(global_params.size());
-      model.flat_parameters_into(deltas[cid]);
-    } else {
-      nn::Model model = prototype_.clone();
-      model.set_flat_parameters(global_params);
-      (void)probe.train_client(model, topo_.clients.client(cid), global_params, cid,
-                               probe_cfg, rng);
-      deltas[cid] = model.flat_parameters();
-    }
+    nn::Model& model = replicas_.local();
+    model.set_flat_parameters(global_params);
+    (void)probe.train_client(model, topo_.clients.client(cid), global_params, cid,
+                             probe_cfg, rng);
+    deltas[cid].resize(global_params.size());
+    model.flat_parameters_into(deltas[cid]);
     for (std::size_t i = 0; i < deltas[cid].size(); ++i)
       deltas[cid][i] -= global_params[i];
   });
@@ -408,19 +359,13 @@ TrainResult GroupFelTrainer::train(double cost_budget) {
                        wire_bytes_per_param(cfg_.precision.wire));
 
   auto record = [&](std::size_t round, double train_loss) {
-    const EvalResult ev = [&] {
-      if (cfg_.reuse_model_replicas) {
-        // Evaluate on the calling thread's persistent replica; the parallel
-        // batch path inside evaluate() draws worker replicas from the same
-        // cache instead of cloning per chunk.
-        nn::Model& eval_model = replicas_.local();
-        eval_model.set_flat_parameters(eval_params());
-        return evaluate(eval_model, *topo_.test_set, 256, pool_, &replicas_);
-      }
-      nn::Model eval_model = prototype_.clone();
-      eval_model.set_flat_parameters(eval_params());
-      return evaluate(eval_model, *topo_.test_set, 256, pool_);
-    }();
+    // Evaluate on the calling thread's persistent replica; the parallel
+    // batch path inside evaluate() draws worker replicas from the same cache
+    // instead of cloning per chunk.
+    nn::Model& eval_model = replicas_.local();
+    eval_model.set_flat_parameters(eval_params());
+    const EvalResult ev =
+        evaluate(eval_model, *topo_.test_set, 256, pool_, &replicas_);
     result.history.push_back(RoundMetrics{round, ev.accuracy, ev.loss,
                                           train_loss, cost_.total(),
                                           comm_bytes});
@@ -458,16 +403,12 @@ TrainResult GroupFelTrainer::train(double cost_budget) {
         round_loss += runs[i].loss_sum;
         round_batches += runs[i].loss_count;
       }
-      if (cfg_.parallel_aggregation) {
-        // Fixed-shape parallel reduction into the existing global buffer
-        // (the reduction reads only group_models, so writing params is
-        // safe); bit-identical to the serial aggregate for any pool size.
-        const std::vector<std::span<const float>> views(group_models.begin(),
-                                                        group_models.end());
-        cloud_.aggregate_into(params, sampled, views, pool_);
-      } else {
-        params = cloud_.aggregate(sampled, group_models);
-      }
+      // Fixed-shape parallel reduction into the existing global buffer (the
+      // reduction reads only group_models, so writing params is safe);
+      // bit-identical for any pool size.
+      const std::vector<std::span<const float>> views(group_models.begin(),
+                                                      group_models.end());
+      cloud_.aggregate_into(params, sampled, views, pool_);
     } else {
       // FedCLAR path: each cluster aggregates its own members.
       std::vector<std::vector<float>> cluster_acc(cluster_params_.size());

@@ -48,14 +48,6 @@ class ClientDataRef {
       lazy_->batch_into(client_, local_positions, out);
   }
 
-  /// Allocating form (legacy reuse_batch_buffers=false path).
-  [[nodiscard]] DataSet::Batch batch(
-      std::span<const std::size_t> local_positions) const {
-    DataSet::Batch out;
-    batch_into(local_positions, out);
-    return out;
-  }
-
  private:
   const ClientShard* shard_ = nullptr;
   const LazyShardSource* lazy_ = nullptr;

@@ -101,13 +101,6 @@ std::vector<std::size_t> ClientShard::label_counts() const {
   return counts;
 }
 
-DataSet::Batch ClientShard::batch(
-    std::span<const std::size_t> local_positions) const {
-  DataSet::Batch out;
-  batch_into(local_positions, out);
-  return out;
-}
-
 void ClientShard::batch_into(std::span<const std::size_t> local_positions,
                              DataSet::Batch& out) const {
   const DataSet& ds = *dataset_;

@@ -82,12 +82,9 @@ class ClientShard {
   /// Count of samples per label on this client (the label-matrix row L_i).
   [[nodiscard]] std::vector<std::size_t> label_counts() const;
 
-  /// Materializes a minibatch from local positions [begin, end).
-  [[nodiscard]] DataSet::Batch batch(std::span<const std::size_t> local_positions) const;
-
-  /// Allocation-free form of batch(): maps local positions to global
-  /// indices inline (no scratch index vector) and writes into a
-  /// caller-owned Batch. Bit-identical contents to batch().
+  /// Materializes a minibatch from local positions into a caller-owned
+  /// Batch, mapping them to global indices inline (no scratch index vector)
+  /// and reusing out's storage.
   void batch_into(std::span<const std::size_t> local_positions,
                   DataSet::Batch& out) const;
 

@@ -16,10 +16,10 @@
 //    with or without -march=native — produces identical bits (determinism:
 //    results never depend on which TU did the conversion).
 //
-// The simd sub-namespace provides the in-register expand loads the
-// convert-on-load micro-kernels use (GNU vector extensions; F16C where the
-// including TU is compiled with it). Accumulation is always fp32 — half
-// types are a STORAGE format in this codebase, never an accumulator.
+// The simd sub-namespace provides the in-register bf16 expand load the
+// convert-on-load micro-kernels use (GNU vector extensions). Accumulation is
+// always fp32 — half types are a STORAGE format in this codebase, never an
+// accumulator.
 #pragma once
 
 #include <cstdint>
@@ -155,10 +155,6 @@ inline void decode_fp16(const std::uint16_t* src, std::span<float> dst) noexcept
 #if defined(__GNUC__) || defined(__clang__)
 #define GROUPFEL_HALF_SIMD 1
 
-#if defined(__F16C__)
-#include <immintrin.h>
-#endif
-
 // The helpers write through a reference instead of returning the vector:
 // a 64-byte vector passed or returned by value changes the calling
 // convention when AVX-512 is off, which GCC reports as -Wpsabi at every
@@ -181,22 +177,6 @@ inline void expand_bf16(const std::uint16_t* p, v16f& out) noexcept {
   v16u32 w = __builtin_convertvector(h, v16u32);
   w = w << 16;
   std::memcpy(&out, &w, sizeof(out));
-}
-
-/// 16 fp16 values expanded to fp32 lanes. With F16C this is one VCVTPH2PS;
-/// the scalar fallback produces identical bits (exact conversion).
-inline void expand_fp16(const std::uint16_t* p, v16f& out) noexcept {
-#if defined(__F16C__) && defined(__AVX512F__)
-  // maskz variant: same VCVTPH2PS, but avoids the _mm512_undefined_ps()
-  // idiom inside plain _mm512_cvtph_ps that GCC's -Wmaybe-uninitialized
-  // flags once this inlines into larger loops.
-  const __m512 w = _mm512_maskz_cvtph_ps(
-      static_cast<__mmask16>(0xffff),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  std::memcpy(&out, &w, sizeof(out));
-#else
-  for (std::size_t l = 0; l < 16; ++l) out[l] = from_fp16_bits(p[l]);
-#endif
 }
 
 }  // namespace groupfel::util::half::simd

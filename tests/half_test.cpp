@@ -9,6 +9,10 @@
 
 #include "runtime/rng.hpp"
 
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
+
 namespace groupfel::util::half {
 namespace {
 
@@ -181,20 +185,12 @@ TEST(Half, SpanEncodersMatchScalar) {
 #if defined(GROUPFEL_HALF_SIMD)
 TEST(Half, SimdExpandMatchesScalar) {
   runtime::Rng rng(25);
-  alignas(64) std::uint16_t b[16], h[16];
-  std::vector<float> src(16);
-  for (std::size_t i = 0; i < 16; ++i) {
-    src[i] = static_cast<float>(rng.normal()) * 5.0f;
-    b[i] = to_bf16_bits(src[i]);
-    h[i] = to_fp16_bits(src[i]);
-  }
-  simd::v16f eb, eh;
+  alignas(64) std::uint16_t b[16];
+  for (std::size_t i = 0; i < 16; ++i)
+    b[i] = to_bf16_bits(static_cast<float>(rng.normal()) * 5.0f);
+  simd::v16f eb;
   simd::expand_bf16(b, eb);
-  simd::expand_fp16(h, eh);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(eb[i], from_bf16_bits(b[i]));
-    EXPECT_EQ(eh[i], from_fp16_bits(h[i]));
-  }
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(eb[i], from_bf16_bits(b[i]));
 }
 #endif
 

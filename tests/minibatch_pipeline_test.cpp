@@ -1,12 +1,13 @@
-// Zero-alloc minibatch pipeline tests: gather_into/batch_into must be
-// bit-identical to their allocating counterparts, the reuse SGD path must
-// consume the RNG stream identically to the legacy path (epoch permutations
-// are precomputed and reused, not re-drawn), and steady-state calls must
-// construct zero tensors.
+// Zero-alloc minibatch pipeline tests: gather_into/batch_into must copy
+// exactly the selected rows, run_local_sgd's thread-local scratch must not
+// leak state from an earlier call (a dirty scratch gives the same result as
+// a fresh thread's), and steady-state calls must construct zero tensors.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "algorithms/local_trainer.hpp"
@@ -19,11 +20,12 @@ namespace groupfel {
 namespace {
 
 std::shared_ptr<data::DataSet> make_dataset(std::size_t n,
-                                            std::uint64_t seed = 3) {
+                                            std::uint64_t seed = 3,
+                                            std::size_t features = 8) {
   runtime::Rng rng(seed);
   data::SyntheticSpec spec;
   spec.num_classes = 4;
-  spec.sample_shape = {8};
+  spec.sample_shape = {features};
   return std::make_shared<data::DataSet>(data::make_synthetic(spec, n, rng));
 }
 
@@ -71,17 +73,31 @@ TEST(GatherInto, SteadyStateConstructsNoTensors) {
 
 TEST(BatchInto, BitIdenticalToBatch) {
   const auto ds = make_dataset(32);
-  const data::ClientShard shard(ds, {9, 4, 22, 17, 30, 1});
+  const std::vector<std::size_t> indices{9, 4, 22, 17, 30, 1};
+  const data::ClientShard shard(ds, indices);
   const std::vector<std::size_t> pos{3, 0, 5, 2};
   data::DataSet::Batch reused;
   shard.batch_into(pos, reused);
-  expect_batches_equal(shard.batch(pos), reused);
+  // Row i of the batch is dataset row indices[pos[i]], features and label.
+  ASSERT_EQ(reused.features.shape(),
+            (std::vector<std::size_t>{pos.size(), ds->sample_size()}));
+  ASSERT_EQ(reused.labels.size(), pos.size());
+  const std::size_t stride = ds->sample_size();
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const std::size_t src = indices[pos[i]];
+    EXPECT_EQ(reused.labels[i], ds->label(src)) << "row " << i;
+    for (std::size_t f = 0; f < stride; ++f)
+      EXPECT_EQ(reused.features.raw()[i * stride + f],
+                ds->features().raw()[src * stride + f])
+          << "row " << i << " feature " << f;
+  }
 }
 
-// The reuse path precomputes each epoch's shuffled order once and reuses
-// the buffer; it must still draw the SAME permutations from the SAME rng
-// stream as the legacy path, so training end-states match bit for bit.
-TEST(LocalSgd, ReusePathBitIdenticalToLegacy) {
+// run_local_sgd keeps its permutation, batch and loss buffers in
+// thread-local scratch across calls. A call after the scratch was used for
+// a different shard size, batch size and feature width must match the same
+// call on a thread whose scratch is brand new.
+TEST(LocalSgd, DirtyScratchMatchesFreshThread) {
   const auto ds = make_dataset(64);
   std::vector<std::size_t> idx(64);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
@@ -92,25 +108,50 @@ TEST(LocalSgd, ReusePathBitIdenticalToLegacy) {
   cfg.batch_size = 8;
   cfg.lr = 0.05f;
 
-  nn::Model legacy_model = nn::make_mlp(8, 16, 4);
+  nn::Model start = nn::make_mlp(8, 16, 4);
   runtime::Rng init(17);
-  legacy_model.init(init);
-  nn::Model reuse_model = legacy_model.clone();
+  start.init(init);
 
-  algorithms::LocalTrainConfig legacy_cfg = cfg;
-  legacy_cfg.reuse_batch_buffers = false;
-  runtime::Rng rng_a(21);
-  runtime::Rng rng_b(21);
-  const double loss_a =
-      algorithms::run_local_sgd(legacy_model, shard, legacy_cfg, rng_a, nullptr);
-  const double loss_b =
-      algorithms::run_local_sgd(reuse_model, shard, cfg, rng_b, nullptr);
+  struct Run {
+    double loss = 0.0;
+    std::vector<float> params;
+    std::uint64_t next_draw = 0;
+  };
+  const auto train = [&] {
+    nn::Model model = start.clone();
+    runtime::Rng rng(21);
+    Run run;
+    run.loss = algorithms::run_local_sgd(model, shard, cfg, rng, nullptr);
+    run.params = model.flat_parameters();
+    run.next_draw = rng.next_u64();
+    return run;
+  };
 
-  EXPECT_EQ(loss_a, loss_b);
-  const std::vector<float> pa = legacy_model.flat_parameters();
-  const std::vector<float> pb = reuse_model.flat_parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
+  {
+    // Dirty this thread's scratch: 37 samples of width 12, batch size 5.
+    const auto other = make_dataset(37, 11, 12);
+    std::vector<std::size_t> other_idx(37);
+    std::iota(other_idx.begin(), other_idx.end(), std::size_t{0});
+    nn::Model other_model = nn::make_mlp(12, 16, 4);
+    runtime::Rng other_init(19);
+    other_model.init(other_init);
+    algorithms::LocalTrainConfig other_cfg = cfg;
+    other_cfg.batch_size = 5;
+    runtime::Rng other_rng(23);
+    (void)algorithms::run_local_sgd(
+        other_model, data::ClientShard(other, other_idx), other_cfg,
+        other_rng, nullptr);
+  }
+  const Run dirty = train();
+  Run fresh;
+  std::thread([&] { fresh = train(); }).join();
+
+  EXPECT_EQ(dirty.loss, fresh.loss);
+  ASSERT_EQ(dirty.params.size(), fresh.params.size());
+  EXPECT_EQ(std::memcmp(dirty.params.data(), fresh.params.data(),
+                        dirty.params.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(dirty.next_draw, fresh.next_draw);
 }
 
 TEST(LocalSgd, SteadyStateConstructsNoTensors) {

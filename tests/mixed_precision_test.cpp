@@ -39,11 +39,11 @@ double max_rel_error(const nn::Tensor& got, const nn::Tensor& want) {
 }
 
 // Per-precision tolerance policy (docs/DEVELOPMENT.md "Mixed precision"):
-// storage rounding perturbs each operand element by at most half an ulp of
-// the half format; the fp32-accumulated result then differs from the fp32
-// kernel by an absolute error of order sqrt(k) * ulp, which against the
-// max(1, |ref|) denominator bounds relative error at ~1.5e-1 for bf16
-// (8-bit significand) and ~2e-2 for fp16 (11-bit) through k = 256.
+// storage rounding perturbs each operand element by at most half a bf16 ulp;
+// the fp32-accumulated result then differs from the fp32 kernel by an
+// absolute error of order sqrt(k) * ulp, which against the max(1, |ref|)
+// denominator bounds relative error at ~1.5e-1 for bf16 (8-bit significand)
+// through k = 256.
 TEST(MixedPrecisionGemm, HalfStorageStaysWithinTolerance) {
   for (const std::size_t n : {16u, 64u, 192u}) {
     runtime::Rng rng(n);
@@ -53,8 +53,6 @@ TEST(MixedPrecisionGemm, HalfStorageStaysWithinTolerance) {
     nn::matmul(a, b, ref);
     nn::matmul(a, b, out, StoragePrecision::kBf16);
     EXPECT_LT(max_rel_error(out, ref), 1.5e-1) << "bf16 n=" << n;
-    nn::matmul(a, b, out, StoragePrecision::kFp16);
-    EXPECT_LT(max_rel_error(out, ref), 2e-2) << "fp16 n=" << n;
   }
 }
 
@@ -77,12 +75,9 @@ TEST(MixedPrecisionGemm, HalfStorageIsDeterministic) {
   nn::Tensor a({n, n}), b({n, n}), first({n, n}), again({n, n});
   fill_random(a, rng);
   fill_random(b, rng);
-  for (const auto sp : {StoragePrecision::kBf16, StoragePrecision::kFp16}) {
-    nn::matmul(a, b, first, sp);
-    nn::matmul(a, b, again, sp);
-    for (std::size_t i = 0; i < first.size(); ++i)
-      EXPECT_EQ(first[i], again[i]);
-  }
+  nn::matmul(a, b, first, StoragePrecision::kBf16);
+  nn::matmul(a, b, again, StoragePrecision::kBf16);
+  for (std::size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], again[i]);
 }
 
 TEST(MixedPrecisionModel, ClonePreservesComputePrecision) {

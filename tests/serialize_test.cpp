@@ -150,7 +150,11 @@ TEST(ByteCodec, ExpectDoneThrowsOnLeftoverBytes) {
 
 // ---- Sweep wire protocol + struct codecs ----------------------------------
 
+#include <cstring>
+#include <filesystem>
+
 #include "core/sweep_codec.hpp"
+#include "core/sweep_journal.hpp"
 #include "runtime/proc/wire.hpp"
 
 namespace groupfel::core {
@@ -316,6 +320,36 @@ TEST(SweepCodec, RejectsOutOfRangeEnum) {
   EXPECT_THROW((void)decode_experiment_spec(r), std::runtime_error);
 }
 
+TEST(SweepCodec, RejectsRemovedStoragePrecision) {
+  GroupFelConfig cfg;
+  cfg.precision.compute = nn::StoragePrecision::kBf16;
+  nn::ByteWriter w;
+  encode(w, cfg);
+  std::vector<std::byte> bytes = w.take();
+  // Layout tail: ..., compute (u32), wire (u32), seed (u64).
+  const std::size_t compute_at = bytes.size() - 8 - 4 - 4;
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + compute_at, sizeof(v));
+  ASSERT_EQ(v, 1u) << "compute enum not where the layout says";
+  {
+    nn::ByteReader r(bytes);
+    EXPECT_EQ(decode_group_fel_config(r).precision.compute,
+              nn::StoragePrecision::kBf16);
+  }
+  // 2 was fp16 compute before codec v3; it is no longer a valid value.
+  v = 2;
+  std::memcpy(bytes.data() + compute_at, &v, sizeof(v));
+  nn::ByteReader r(bytes);
+  try {
+    (void)decode_group_fel_config(r);
+    FAIL() << "StoragePrecision 2 decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("StoragePrecision value 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepCodec, RejectsWrongCodecVersion) {
   std::vector<std::byte> payload = encode_cell_result(sample_result());
   payload[0] ^= std::byte{0x40};  // corrupt the leading version word
@@ -326,6 +360,39 @@ TEST(SweepCodec, RejectsTruncatedPayload) {
   std::vector<std::byte> payload = encode_cell_result(sample_result());
   payload.resize(payload.size() / 2);
   EXPECT_THROW((void)decode_cell_result(payload), std::runtime_error);
+}
+
+TEST(SweepJournal, OldCodecVersionNamesBothVersions) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       "groupfel_journal_old_version_test.bin")
+          .string();
+  const std::uint64_t fingerprint = 0x1234abcdull;
+  const std::size_t num_cells = 3;
+  {
+    // A header exactly as a codec-v2 build wrote it.
+    nn::ByteWriter w;
+    w.u32(2);
+    w.u64(fingerprint);
+    w.size(num_cells);
+    const std::vector<std::byte> frame =
+        proc::encode_frame(SweepJournal::kHeaderFrame, w.bytes());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  ASSERT_EQ(kSweepCodecVersion, 3u);
+  try {
+    (void)SweepJournal::load(path, fingerprint, num_cells);
+    FAIL() << "a v2 journal loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("uses codec version 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("expects version 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("delete it or drop --resume"), std::string::npos)
+        << msg;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SweepCodec, FingerprintTracksCellContent) {

@@ -153,9 +153,15 @@ TEST(ClientShard, LabelCountsAndBatch) {
   EXPECT_EQ(counts[2], 2u);
 
   const std::vector<std::size_t> local{0, 5};
-  const auto batch = shard.batch(local);
+  DataSet::Batch batch;
+  shard.batch_into(local, batch);
+  ASSERT_EQ(batch.labels.size(), 2u);
   EXPECT_EQ(batch.labels[0], ds->label(0));
   EXPECT_EQ(batch.labels[1], ds->label(5));
+  for (std::size_t f = 0; f < 2; ++f) {
+    EXPECT_EQ(batch.features.raw()[f], ds->features().raw()[f]);
+    EXPECT_EQ(batch.features.raw()[2 + f], ds->features().raw()[5 * 2 + f]);
+  }
 }
 
 TEST(ClientShard, RejectsOutOfRangeIndices) {
