@@ -8,8 +8,8 @@
 // Dirichlet-partitioned label matrices, client counts 200..1000 (scaled by
 // GROUPFEL_BENCH_SCALE). Expected ordering: RG < CDG < CoVG << KLDG.
 #include "bench_common.hpp"
-#include "data/partition.hpp"
-#include "data/synthetic.hpp"
+#include "data/client_descriptor.hpp"
+#include "data/label_matrix.hpp"
 #include "grouping/grouping.hpp"
 #include "runtime/timer.hpp"
 
@@ -18,12 +18,6 @@ using namespace groupfel;
 namespace {
 data::LabelMatrix make_matrix(std::size_t clients, std::uint64_t seed) {
   runtime::Rng rng(seed);
-  data::SyntheticSpec spec;
-  spec.num_classes = 10;
-  spec.sample_shape = {1};  // features irrelevant for grouping timing
-  spec.label_noise = 0.0;
-  auto pool = std::make_shared<data::DataSet>(
-      data::make_synthetic(spec, clients * 40, rng));
   data::PartitionSpec part;
   part.num_clients = clients;
   part.alpha = 0.1;
@@ -31,8 +25,8 @@ data::LabelMatrix make_matrix(std::size_t clients, std::uint64_t seed) {
   part.size_std = 8;
   part.size_min = 10;
   part.size_max = 40;
-  auto shards = data::dirichlet_partition(pool, part, rng);
-  return data::LabelMatrix::from_shards(shards);
+  return data::LabelMatrix::from_population(
+      data::descriptor_partition(part, /*num_classes=*/10, rng));
 }
 }  // namespace
 

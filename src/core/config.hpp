@@ -85,7 +85,7 @@ struct GroupFelConfig {
   std::size_t global_rounds = 40;   ///< T
   std::size_t group_rounds = 2;     ///< K
   std::size_t local_epochs = 2;     ///< E
-  std::size_t sampled_groups = 6;   ///< S = |S_t|
+  std::size_t sampled_groups = 6;   ///< S = |S_t| (>= 1)
 
   algorithms::LocalTrainConfig local;
   LocalRule rule = LocalRule::kSgd;
@@ -111,10 +111,11 @@ struct GroupFelConfig {
   /// the protocol's dropout-recovery path exercised inside training.
   /// When fewer than ceil(2|g|/3) members survive (the secure-aggregation
   /// quorum), the group round is skipped and the group model carries over;
-  /// the plaintext path applies the same quorum for consistency.
+  /// the plaintext path applies the same quorum for consistency. In [0, 1].
   double client_dropout_rate = 0.0;
 
-  /// Evaluate the global model every N rounds (always at the last round).
+  /// Evaluate the global model every N >= 1 rounds (always at the last
+  /// round).
   std::size_t eval_every = 1;
 
   /// Record the global parameter vector after every round in

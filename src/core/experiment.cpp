@@ -34,38 +34,26 @@ Experiment build_experiment(const ExperimentSpec& spec,
   part.size_min = spec.size_min;
   part.size_max = spec.size_max;
 
+  // Both client-state modes run the same partition from the same fork, so
+  // their populations — and therefore every synthesized sample — are
+  // identical; the only difference is whether samples are materialized up
+  // front or on demand.
+  runtime::Rng part_rng = root.fork(0xd15cull);
+  data::ClientPopulation pop =
+      data::descriptor_partition(part, data_spec.num_classes, part_rng, pool);
+
   Experiment exp;
   exp.data_spec = data_spec;
-  if (spec.client_state == ClientStateMode::kPoolResident) {
-    // Train pool sized so the partition is always feasible even if every
-    // client draws size_max.
-    const std::size_t train_size = spec.num_clients * spec.size_max;
-    runtime::Rng data_rng = root.fork(0xda7aull);
-    auto train = std::make_shared<data::DataSet>(
-        data::make_synthetic(data_spec, train_size, data_rng));
-    runtime::Rng part_rng = root.fork(0xd112ull);
-    exp.train_set = train;
-    exp.topology.clients = data::ClientDataStore::resident(
-        data::dirichlet_partition(train, part, part_rng));
+  if (spec.client_state == ClientStateMode::kLazy) {
+    exp.topology.clients = data::ClientDataStore::lazy(
+        std::make_shared<const data::LazyShardSource>(data_spec,
+                                                      std::move(pop)));
   } else {
-    // Descriptor universe: NO shared sample pool. Both arms run the same
-    // partition from the same fork, so their populations — and therefore
-    // every synthesized sample — are identical; the only difference is
-    // whether samples are materialized up front or on demand.
-    runtime::Rng part_rng = root.fork(0xd15cull);
-    data::ClientPopulation pop =
-        data::descriptor_partition(part, data_spec.num_classes, part_rng, pool);
-    if (spec.client_state == ClientStateMode::kLazy) {
-      exp.topology.clients = data::ClientDataStore::lazy(
-          std::make_shared<const data::LazyShardSource>(data_spec,
-                                                        std::move(pop)));
-    } else {
-      data::LazyShardSource source(data_spec, std::move(pop));
-      data::MaterializedPopulation mat = data::materialize_population(source);
-      exp.train_set = mat.dataset;
-      exp.topology.clients = data::ClientDataStore::resident(
-          std::move(mat.shards), source.population());
-    }
+    data::LazyShardSource source(data_spec, std::move(pop));
+    data::MaterializedPopulation mat = data::materialize_population(source);
+    exp.train_set = mat.dataset;
+    exp.topology.clients = data::ClientDataStore::resident(
+        std::move(mat.shards), source.population());
   }
   exp.topology.edges = data::assign_to_edges(spec.num_clients, spec.num_edges);
   exp.topology.test_set = test;

@@ -1,7 +1,7 @@
-// Experiment builder: assembles a full simulated federation (synthetic
-// dataset, Dirichlet partition, edge assignment, model factory, cost model)
-// from one declarative spec. Every bench binary goes through this so the
-// paper's scenarios are reproducible from a handful of parameters.
+// Experiment builder: assembles a full simulated federation (synthetic test
+// set, Dirichlet descriptor partition, edge assignment, model factory, cost
+// model) from one declarative spec. Every bench binary goes through this so
+// the paper's scenarios are reproducible from a handful of parameters.
 #pragma once
 
 #include <memory>
@@ -14,20 +14,15 @@ namespace groupfel::core {
 
 enum class ModelKind { kMlp, kResNet3, kCnn5 };
 
-/// How per-client training data is held — the lazy-vs-resident A/B toggle.
+/// How per-client training data is held. Both modes run the same
+/// descriptor partition (data::descriptor_partition) and train
+/// bit-identically (ctest-gated); they differ only in memory.
 enum class ClientStateMode {
-  /// Legacy path: carve resident shards from one shared sample pool
-  /// (data::dirichlet_partition). Byte-identical to pre-descriptor builds;
-  /// memory is O(num_clients * size_max * sample_dim).
-  kPoolResident,
-  /// Descriptor partition (O(bytes) per client), then materialize every
-  /// client's samples into resident shards — the resident arm of the
-  /// bit-identity gate. Same memory order as kPoolResident.
+  /// Materialize every client's samples into resident shards of one shared
+  /// dataset up front. Memory is O(total samples * sample_dim).
   kDescriptorResident,
-  /// Descriptor partition only; minibatches are synthesized on demand from
-  /// per-sample RNG streams. Resident state is the descriptor table, so the
-  /// spec scales to 10^6 clients. Bit-identical training to
-  /// kDescriptorResident (ctest-gated).
+  /// Keep only the descriptor table; minibatches are synthesized on demand
+  /// from per-sample RNG streams, so the spec scales to 10^6 clients.
   kLazy,
 };
 
@@ -44,7 +39,7 @@ struct ExperimentSpec {
   ModelKind model = ModelKind::kMlp;
   std::size_t mlp_hidden = 64;
   std::uint64_t seed = 7;
-  ClientStateMode client_state = ClientStateMode::kPoolResident;
+  ClientStateMode client_state = ClientStateMode::kDescriptorResident;
 
   /// Memberwise equality — core::run_sweep builds each distinct federation
   /// once and shares it across the cells that use it.
@@ -55,9 +50,9 @@ struct ExperimentSpec {
 struct Experiment {
   FederationTopology topology;
   data::SyntheticSpec data_spec;
-  /// The resident training pool (kPoolResident) or the materialized
-  /// federation dataset (kDescriptorResident). Null in kLazy mode — no
-  /// training sample is ever resident.
+  /// The materialized federation dataset every resident shard views
+  /// (kDescriptorResident). Null in kLazy mode — no training sample is ever
+  /// resident.
   std::shared_ptr<const data::DataSet> train_set;
 };
 
@@ -73,8 +68,7 @@ struct Experiment {
 [[nodiscard]] cost::CostModel build_cost_model(cost::Task task,
                                                cost::GroupOp secagg_variant);
 
-/// A paper-preset scaled to this repository's single-core budget. The
-/// `scale` knob (default from GROUPFEL_SCALE env var, 1.0 otherwise)
+/// A paper-preset scaled to this repository's single-core budget. `scale`
 /// multiplies client counts; benches use < 1 for quick runs.
 [[nodiscard]] ExperimentSpec default_cifar_spec(double scale = 1.0);
 [[nodiscard]] ExperimentSpec default_sc_spec(double scale = 1.0);

@@ -28,7 +28,10 @@ namespace groupfel::core {
 ///     parallel aggregation) and LocalTrainConfig its batch-buffer boolean;
 ///     StoragePrecision accepts only fp32 (0) and bf16 (1). Journals
 ///     written by v2 are rejected on load.
-inline constexpr std::uint32_t kSweepCodecVersion = 3;
+/// v4: ClientStateMode lost its pool-resident value and is renumbered:
+///     descriptor-resident (0) and lazy (1). Journals written by v3 are
+///     rejected on load.
+inline constexpr std::uint32_t kSweepCodecVersion = 4;
 
 // Field-level codecs (composable; used by the top-level payloads below and
 // directly by tests).

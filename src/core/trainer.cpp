@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "algorithms/fedclar.hpp"
 #include "algorithms/fedprox.hpp"
@@ -44,6 +45,14 @@ GroupFelTrainer::GroupFelTrainer(FederationTopology topology,
       cloud_(cfg_.sampling, cfg_.aggregation),
       pool_(pool != nullptr ? pool : &runtime::ThreadPool::global()),
       run_rng_(cfg_.seed) {
+  if (cfg_.eval_every == 0)
+    throw std::invalid_argument("GroupFelTrainer: eval_every must be >= 1");
+  if (!(cfg_.client_dropout_rate >= 0.0 && cfg_.client_dropout_rate <= 1.0))
+    throw std::invalid_argument(
+        "GroupFelTrainer: client_dropout_rate must be in [0, 1], got " +
+        std::to_string(cfg_.client_dropout_rate));
+  if (cfg_.sampled_groups == 0)
+    throw std::invalid_argument("GroupFelTrainer: sampled_groups must be >= 1");
   if (topo_.clients.num_clients() == 0)
     throw std::invalid_argument("GroupFelTrainer: no clients");
   if (!topo_.model_factory)
@@ -389,59 +398,74 @@ TrainResult GroupFelTrainer::train(double cost_budget) {
     const std::vector<std::size_t> sampled =
         cloud_.sample(cfg_.sampled_groups, sample_rng);
 
-    double round_loss = 0.0;
-    std::size_t round_batches = 0;
-
+    std::vector<GroupRun> runs;
     if (!clustered_) {
-      std::vector<std::vector<float>> group_models(sampled.size());
-      std::vector<GroupRun> runs(sampled.size());
+      runs.resize(sampled.size());
       pool_->parallel_for(sampled.size(), [&](std::size_t i) {
         runs[i] = run_group(cloud_.groups()[sampled[i]], params, t, sampled[i]);
       });
-      for (std::size_t i = 0; i < sampled.size(); ++i) {
-        group_models[i] = std::move(runs[i].params);
-        round_loss += runs[i].loss_sum;
-        round_batches += runs[i].loss_count;
-      }
       // Fixed-shape parallel reduction into the existing global buffer (the
-      // reduction reads only group_models, so writing params is safe);
+      // reduction reads only the group models, so writing params is safe);
       // bit-identical for any pool size.
-      const std::vector<std::span<const float>> views(group_models.begin(),
-                                                      group_models.end());
+      std::vector<std::span<const float>> views;
+      views.reserve(runs.size());
+      for (const GroupRun& run : runs) views.emplace_back(run.params);
       cloud_.aggregate_into(params, sampled, views, pool_);
     } else {
-      // FedCLAR path: each cluster aggregates its own members.
-      std::vector<std::vector<float>> cluster_acc(cluster_params_.size());
-      std::vector<double> cluster_weight(cluster_params_.size(), 0.0);
+      // FedCLAR: every sampled group splits into one sub-group per non-empty
+      // cluster. All sub-groups train in parallel from their cluster's
+      // model; each cluster then merges its sub-group models weighted by
+      // data count, through the same reduction as every other aggregation.
+      struct SubGroup {
+        FormedGroup members;
+        std::size_t cluster = 0;
+        std::size_t tag = 0;
+      };
+      std::vector<SubGroup> subs;
       for (auto gi : sampled) {
         const FormedGroup& group = cloud_.groups()[gi];
-        // Partition the group's members by cluster.
-        std::vector<std::vector<std::size_t>> by_cluster(
-            cluster_params_.size());
-        for (auto cid : group.clients) by_cluster[cluster_of_[cid]].push_back(cid);
+        std::vector<FormedGroup> by_cluster(cluster_params_.size());
+        for (auto cid : group.clients) {
+          FormedGroup& sub = by_cluster[cluster_of_[cid]];
+          sub.clients.push_back(cid);
+          sub.data_count += topo_.clients.data_count(cid);
+        }
         for (std::size_t c = 0; c < by_cluster.size(); ++c) {
-          if (by_cluster[c].empty()) continue;
-          FormedGroup sub;
-          sub.edge_id = group.edge_id;
-          sub.clients = by_cluster[c];
-          for (auto cid : sub.clients) sub.data_count += topo_.clients.data_count(cid);
-          GroupRun run = run_group(sub, cluster_params_[c], t, gi * 31 + c);
-          round_loss += run.loss_sum;
-          round_batches += run.loss_count;
-          const double w = static_cast<double>(sub.data_count);
-          if (cluster_acc[c].empty())
-            cluster_acc[c].assign(run.params.size(), 0.0f);
-          for (std::size_t i = 0; i < run.params.size(); ++i)
-            cluster_acc[c][i] += static_cast<float>(w) * run.params[i];
-          cluster_weight[c] += w;
+          if (by_cluster[c].clients.empty()) continue;
+          by_cluster[c].edge_id = group.edge_id;
+          subs.push_back({std::move(by_cluster[c]), c, gi * 31 + c});
         }
       }
+      runs.resize(subs.size());
+      pool_->parallel_for(subs.size(), [&](std::size_t j) {
+        runs[j] = run_group(subs[j].members, cluster_params_[subs[j].cluster],
+                            t, subs[j].tag);
+      });
+      std::vector<double> cluster_weight(cluster_params_.size(), 0.0);
+      for (const SubGroup& sub : subs)
+        cluster_weight[sub.cluster] +=
+            static_cast<double>(sub.members.data_count);
+      std::vector<std::span<const float>> views;
+      std::vector<double> weights;
       for (std::size_t c = 0; c < cluster_params_.size(); ++c) {
         if (cluster_weight[c] <= 0.0) continue;
-        const float inv = 1.0f / static_cast<float>(cluster_weight[c]);
-        for (std::size_t i = 0; i < cluster_acc[c].size(); ++i)
-          cluster_params_[c][i] = cluster_acc[c][i] * inv;
+        views.clear();
+        weights.clear();
+        for (std::size_t j = 0; j < subs.size(); ++j) {
+          if (subs[j].cluster != c) continue;
+          views.emplace_back(runs[j].params);
+          weights.push_back(static_cast<double>(subs[j].members.data_count) /
+                            cluster_weight[c]);
+        }
+        nn::weighted_average_into(cluster_params_[c], views, weights, pool_);
       }
+    }
+    // Losses sum in job order, so the mean is independent of the pool.
+    double round_loss = 0.0;
+    std::size_t round_batches = 0;
+    for (const GroupRun& run : runs) {
+      round_loss += run.loss_sum;
+      round_batches += run.loss_count;
     }
 
     // Eq. 5 cost: every sampled group charges K rounds of group ops plus

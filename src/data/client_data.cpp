@@ -1,20 +1,12 @@
 #include "data/client_data.hpp"
 
-#include <unordered_set>
-
 namespace groupfel::data {
-
-ClientDataStore ClientDataStore::resident(std::vector<ClientShard> shards) {
-  ClientDataStore store;
-  store.shards_ = std::move(shards);
-  return store;
-}
 
 ClientDataStore ClientDataStore::resident(std::vector<ClientShard> shards,
                                           ClientPopulation population) {
   ClientDataStore store;
   store.shards_ = std::move(shards);
-  store.population_.emplace(std::move(population));
+  store.population_ = std::move(population);
   return store;
 }
 
@@ -25,37 +17,24 @@ ClientDataStore ClientDataStore::lazy(
   return store;
 }
 
-const ClientPopulation* ClientDataStore::population() const noexcept {
-  if (lazy_) return &lazy_->population();
-  return population_ ? &*population_ : nullptr;
-}
-
 LabelMatrix ClientDataStore::label_matrix(runtime::ThreadPool* pool) const {
-  if (const ClientPopulation* pop = population())
-    return LabelMatrix::from_population(*pop, pool);
-  return LabelMatrix::from_shards(shards_);
+  return LabelMatrix::from_population(population(), pool);
 }
 
 std::size_t ClientDataStore::resident_bytes() const {
-  std::size_t bytes = 0;
-  if (lazy_) {
-    const ClientPopulation& pop = lazy_->population();
-    bytes += pop.num_clients() * pop.bytes_per_client();
-    bytes += lazy_->sample_size() * lazy_->num_classes() *
-             lazy_->spec().modes_per_class * sizeof(float);  // prototypes
-    return bytes;
-  }
-  // Shards share datasets; count each backing tensor once.
-  std::unordered_set<const DataSet*> seen;
-  for (const auto& shard : shards_) {
+  const ClientPopulation& pop = population();
+  std::size_t bytes = pop.num_clients() * pop.bytes_per_client();
+  if (lazy_)
+    return bytes + lazy_->sample_size() * lazy_->num_classes() *
+                       lazy_->spec().modes_per_class * sizeof(float);
+  for (const auto& shard : shards_)
     bytes += shard.indices().size() * sizeof(std::size_t);
-    const DataSet* ds = &shard.dataset();
-    if (seen.insert(ds).second)
-      bytes += ds->features().size() * sizeof(float) +
-               ds->labels().size() * sizeof(std::int32_t);
+  if (!shards_.empty()) {
+    // Every shard is a view of the one materialized dataset.
+    const DataSet& ds = shards_.front().dataset();
+    bytes += ds.features().size() * sizeof(float) +
+             ds.labels().size() * sizeof(std::int32_t);
   }
-  if (population_)
-    bytes += population_->num_clients() * population_->bytes_per_client();
   return bytes;
 }
 

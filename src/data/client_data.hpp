@@ -7,13 +7,13 @@
 // 64-client resident federation and a million-client lazy one.
 //
 // ClientDataStore is the federation-wide container behind
-// FederationTopology: either a vector of resident shards (the legacy pool
-// path and the descriptor-resident A/B arm) or a shared LazyShardSource
+// FederationTopology. Every store is built from a descriptor population
+// (data::descriptor_partition): either its samples materialized into
+// resident shards of one shared dataset, or a shared LazyShardSource
 // (O(bytes) per client).
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,19 +58,14 @@ class ClientDataStore {
  public:
   ClientDataStore() = default;
 
-  /// Legacy pool path: resident shards carved from one shared dataset. The
-  /// label matrix is computed from observed shard labels (byte-identical to
-  /// the pre-descriptor behavior).
-  [[nodiscard]] static ClientDataStore resident(
-      std::vector<ClientShard> shards);
-
-  /// Descriptor-resident A/B arm: resident shards materialized from a
-  /// descriptor population. The label matrix comes from the population
-  /// histograms (intended labels) so grouping matches the lazy arm exactly.
+  /// Resident shards materialized from a descriptor population (all of
+  /// them views of one shared dataset). The label matrix comes from the
+  /// population histograms (intended labels), so grouping matches the lazy
+  /// store exactly.
   [[nodiscard]] static ClientDataStore resident(
       std::vector<ClientShard> shards, ClientPopulation population);
 
-  /// O(bytes)-per-client arm: batches synthesized on demand.
+  /// O(bytes) per client: batches synthesized on demand.
   [[nodiscard]] static ClientDataStore lazy(
       std::shared_ptr<const LazyShardSource> source);
 
@@ -98,24 +93,27 @@ class ClientDataStore {
   [[nodiscard]] const LazyShardSource* lazy_source() const noexcept {
     return lazy_.get();
   }
-  /// Descriptor table when this store was built from one (either arm).
-  [[nodiscard]] const ClientPopulation* population() const noexcept;
+  /// The descriptor table this store was built from.
+  [[nodiscard]] const ClientPopulation& population() const noexcept {
+    return lazy_ ? lazy_->population() : population_;
+  }
 
-  /// The §5.1 label matrix L for grouping: population histograms when a
-  /// descriptor table is present, observed shard labels otherwise. `pool`
-  /// parallelizes the descriptor-table copy (bit-identical for any pool).
+  /// The §5.1 label matrix L for grouping, copied from the population
+  /// histograms. `pool` parallelizes the copy (bit-identical for any pool).
   [[nodiscard]] LabelMatrix label_matrix(
       runtime::ThreadPool* pool = nullptr) const;
 
-  /// Approximate resident bytes held by this store's client data (feature
-  /// tensors + index lists for resident shards; descriptor table when
-  /// lazy). Reported by bench/scale_sim.
+  /// Approximate resident bytes held by this store's client data: the
+  /// descriptor table, plus the shared feature tensor and the index lists
+  /// when resident, or the class prototypes when lazy. Reported by
+  /// bench/scale_sim.
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
   std::vector<ClientShard> shards_;
   std::shared_ptr<const LazyShardSource> lazy_;
-  std::optional<ClientPopulation> population_;
+  /// Resident stores own their table; lazy ones read the source's.
+  ClientPopulation population_;
 };
 
 }  // namespace groupfel::data

@@ -86,11 +86,11 @@ class ClientPopulation {
 /// clamped normal) drawn client by client with O(num_classes) working state
 /// and NO global sample pools. Each client's draws come from an independent
 /// stream forked by client index, so the result is deterministic in `rng`
-/// and identical regardless of evaluation order. Unlike the pool-based
-/// dirichlet_partition, label counts are multinomial draws from the
-/// client's own proportions (with replacement across clients): there is no
-/// shared-pool exhaustion coupling, which is what lets a 10^6-client
-/// partition run without materializing 10^8 sample indices.
+/// and identical regardless of evaluation order. Label counts are
+/// multinomial draws from the client's own proportions (with replacement
+/// across clients): no client's draw depends on what another client took,
+/// which is what lets a 10^6-client partition run without materializing
+/// 10^8 sample indices.
 ///
 /// `pool` shards the client loop over parallel blocks; the per-client
 /// streams are forked by index from `rng` (fork is const — the parent never

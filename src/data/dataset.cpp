@@ -78,13 +78,6 @@ void DataSet::gather_into(std::span<const std::size_t> indices,
   }
 }
 
-std::vector<std::vector<std::size_t>> DataSet::label_pools() const {
-  std::vector<std::vector<std::size_t>> pools(classes_);
-  for (std::size_t i = 0; i < labels_.size(); ++i)
-    pools[static_cast<std::size_t>(labels_[i])].push_back(i);
-  return pools;
-}
-
 ClientShard::ClientShard(std::shared_ptr<const DataSet> dataset,
                          std::vector<std::size_t> indices)
     : dataset_(std::move(dataset)), indices_(std::move(indices)) {

@@ -50,9 +50,6 @@ class DataSet {
   /// to gather().
   void gather_into(std::span<const std::size_t> indices, Batch& out) const;
 
-  /// Indices of all samples with each label: pools[label] -> sample indices.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> label_pools() const;
-
  private:
   nn::Tensor features_;
   std::vector<std::int32_t> labels_;

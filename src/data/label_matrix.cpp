@@ -26,18 +26,6 @@ LabelMatrix LabelMatrix::from_flat(std::vector<std::size_t> flat,
   return m;
 }
 
-LabelMatrix LabelMatrix::from_shards(std::span<const ClientShard> shards) {
-  if (shards.empty()) return {};
-  const std::size_t m = shards[0].dataset().num_classes();
-  std::vector<std::size_t> flat;
-  flat.reserve(shards.size() * m);
-  for (const auto& shard : shards) {
-    const std::vector<std::size_t> counts = shard.label_counts();
-    flat.insert(flat.end(), counts.begin(), counts.end());
-  }
-  return from_flat(std::move(flat), m);
-}
-
 LabelMatrix LabelMatrix::from_population(const ClientPopulation& population,
                                          runtime::ThreadPool* pool) {
   const std::size_t m = population.num_classes();

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "data/client_descriptor.hpp"
-#include "data/dataset.hpp"
 
 namespace groupfel::data {
 
@@ -30,9 +29,6 @@ class LabelMatrix {
   /// above stay unambiguous.
   static LabelMatrix from_flat(std::vector<std::size_t> flat,
                                std::size_t num_labels);
-
-  /// Builds the matrix from client shards (observed labels).
-  static LabelMatrix from_shards(std::span<const ClientShard> shards);
 
   /// Builds the matrix from a descriptor table (intended labels) — no
   /// sample data needed, O(clients * labels) straight copy. `pool` copies

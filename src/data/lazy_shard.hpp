@@ -76,8 +76,9 @@ struct MaterializedPopulation {
 };
 
 /// Materializes the whole population through the same per-sample generators
-/// the lazy path uses — the resident half of the lazy-vs-resident A/B
-/// toggle. Memory: O(total samples * sample_dim); use only at small scale.
+/// the lazy path uses — the default, resident client state of
+/// core::build_experiment. Memory: O(total samples * sample_dim); use only
+/// at small scale.
 [[nodiscard]] MaterializedPopulation materialize_population(
     const LazyShardSource& source);
 

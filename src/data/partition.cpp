@@ -1,77 +1,8 @@
 #include "data/partition.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace groupfel::data {
-
-std::vector<ClientShard> dirichlet_partition(
-    std::shared_ptr<const DataSet> dataset, const PartitionSpec& spec,
-    runtime::Rng& rng) {
-  if (!dataset) throw std::invalid_argument("dirichlet_partition: null dataset");
-  if (spec.num_clients == 0)
-    throw std::invalid_argument("dirichlet_partition: zero clients");
-  if (spec.size_min == 0 || spec.size_min > spec.size_max)
-    throw std::invalid_argument("dirichlet_partition: bad size bounds");
-
-  const std::size_t m = dataset->num_classes();
-  auto pools = dataset->label_pools();
-  // Shuffle each pool once so sequential pops are random draws.
-  for (std::size_t c = 0; c < m; ++c) {
-    auto pool_rng = rng.fork(0x706f6f6cull + c);
-    pool_rng.shuffle(pools[c]);
-  }
-  std::size_t remaining_total = dataset->size();
-
-  // Draw all client sizes first so we can validate feasibility up front.
-  std::vector<std::size_t> sizes(spec.num_clients);
-  std::size_t total_requested = 0;
-  for (std::size_t i = 0; i < spec.num_clients; ++i) {
-    const double draw = rng.normal(spec.size_mean, spec.size_std);
-    const auto clamped = std::clamp(
-        static_cast<long long>(std::llround(draw)),
-        static_cast<long long>(spec.size_min),
-        static_cast<long long>(spec.size_max));
-    sizes[i] = static_cast<std::size_t>(clamped);
-    total_requested += sizes[i];
-  }
-  if (total_requested > dataset->size())
-    throw std::invalid_argument(
-        "dirichlet_partition: dataset too small (" +
-        std::to_string(dataset->size()) + " samples for " +
-        std::to_string(total_requested) + " requested)");
-
-  std::vector<ClientShard> shards;
-  shards.reserve(spec.num_clients);
-  for (std::size_t i = 0; i < spec.num_clients; ++i) {
-    const std::vector<double> props = rng.dirichlet(spec.alpha, m);
-    std::vector<std::size_t> indices;
-    indices.reserve(sizes[i]);
-    for (std::size_t s = 0; s < sizes[i]; ++s) {
-      // Weight labels by Dirichlet proportion, masked by pool availability.
-      std::vector<double> weights(m);
-      bool any = false;
-      for (std::size_t c = 0; c < m; ++c) {
-        weights[c] = pools[c].empty() ? 0.0 : props[c];
-        any = any || weights[c] > 0.0;
-      }
-      if (!any) {
-        // Requested labels exhausted: fall back to whatever remains so the
-        // client still reaches its drawn size.
-        for (std::size_t c = 0; c < m; ++c)
-          weights[c] = static_cast<double>(pools[c].size());
-      }
-      const std::size_t c = rng.categorical(weights);
-      indices.push_back(pools[c].back());
-      pools[c].pop_back();
-      --remaining_total;
-    }
-    shards.emplace_back(dataset, std::move(indices));
-  }
-  (void)remaining_total;
-  return shards;
-}
 
 std::vector<std::vector<std::size_t>> assign_to_edges(std::size_t num_clients,
                                                       std::size_t num_edges) {

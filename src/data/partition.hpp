@@ -1,14 +1,12 @@
 // Non-IID client partitioning following the paper's protocol (§7.2):
 // each client's per-label proportions are drawn from Dirichlet(alpha)
 // (Hsu et al. [36]) and its sample count from a clamped normal
-// distribution (20..200 in the paper's CIFAR setup).
+// distribution (20..200 in the paper's CIFAR setup). The draws themselves
+// live in data::descriptor_partition (data/client_descriptor.hpp).
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <vector>
-
-#include "data/dataset.hpp"
-#include "runtime/rng.hpp"
 
 namespace groupfel::data {
 
@@ -20,15 +18,6 @@ struct PartitionSpec {
   std::size_t size_min = 20;
   std::size_t size_max = 200;
 };
-
-/// Splits `dataset` into per-client shards. Sampling is without replacement
-/// from per-label pools; when a requested label pool is exhausted the draw
-/// falls back to the remaining pools (proportional to remaining size), so
-/// every produced index is unique and the partition is always feasible as
-/// long as the dataset has enough samples in total. Throws otherwise.
-[[nodiscard]] std::vector<ClientShard> dirichlet_partition(
-    std::shared_ptr<const DataSet> dataset, const PartitionSpec& spec,
-    runtime::Rng& rng);
 
 /// Assigns clients to edge servers contiguously (paper: 3 edges x 100
 /// clients). Returns per-edge client-index lists.

@@ -88,7 +88,10 @@ class ModelReplicaCache {
   }
 
  private:
-  mutable util::Mutex mu_;
+  // Every worker locks mu_ once per client it trains and per evaluation
+  // chunk. A line of its own keeps those writes from invalidating the
+  // read-mostly fields an owner lays out next to the cache.
+  alignas(64) mutable util::Mutex mu_;
   ModelT prototype_ GF_GUARDED_BY(mu_);
   bool has_prototype_ GF_GUARDED_BY(mu_) = false;
   std::unordered_map<std::thread::id, ModelT> replicas_ GF_GUARDED_BY(mu_);

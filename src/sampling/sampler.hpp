@@ -22,26 +22,20 @@ enum class SamplingMethod { kRandom, kRCov, kSRCov, kESRCov };
 [[nodiscard]] std::string to_string(SamplingMethod method);
 [[nodiscard]] SamplingMethod sampling_method_from_string(const std::string& name);
 
-/// Computes the probability vector p over groups from their CoV values
-/// (Eq. 34). CoV values are floored at `cov_floor` so 1/CoV stays finite for
-/// perfectly balanced groups; ESRCoV is computed with a max-shifted exponent
-/// so it never overflows. Result sums to 1.
-[[nodiscard]] std::vector<double> sampling_probabilities(
-    SamplingMethod method, std::span<const double> group_covs,
-    double cov_floor = 0.05);
-
-/// Default CoV floor shared by both Eq. 34 producers.
+/// Default CoV floor for Eq. 34.
 inline constexpr double kDefaultCovFloor = 0.05;
 
-/// Streaming Eq. 34 for fleet-scale group counts: writes p into `out`
-/// (reusing its storage across regroupings). The normalizer is a
+/// Computes the probability vector p over groups from their CoV values
+/// (Eq. 34) into `out`, reusing its storage across regroupings. CoV values
+/// are floored at `cov_floor` so 1/CoV stays finite for perfectly balanced
+/// groups; ESRCoV is computed with a max-shifted exponent so it never
+/// overflows. Result sums to 1. The normalizer is a
 /// fixed-shape blocked tree reduction — per-block Kahan-compensated sums
 /// combined in deterministic block order (the nn::weighted_average_into
 /// pattern), with the block decomposition fixed by the group count alone —
 /// so the result is bit-identical for any `pool` size including nullptr
-/// (serial). ESRCoV precomputes the max exponent with a blocked max scan,
-/// keeping the overflow-free shift. The result is GF_CHECKed against the
-/// probability-vector invariant below.
+/// (serial). ESRCoV precomputes the max exponent with a blocked max scan.
+/// The result is GF_CHECKed against the probability-vector invariant below.
 void sampling_probabilities_into(SamplingMethod method,
                                  std::span<const double> group_covs,
                                  std::vector<double>& out,
@@ -50,7 +44,7 @@ void sampling_probabilities_into(SamplingMethod method,
 
 /// The PR-2 invariant set, extended to probability vectors: every entry
 /// finite and non-negative, total mass 1 within tolerance. GF_CHECKs (always
-/// on) with `where` naming the entry point; shared by the Eq. 34 producers
+/// on) with `where` naming the entry point; shared by the Eq. 34 producer
 /// and the sample_groups consumer so the contract lives in one place.
 void check_probability_vector(std::span<const double> p, const char* where);
 

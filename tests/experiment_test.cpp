@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace groupfel::core {
 namespace {
 
@@ -28,16 +30,24 @@ TEST(Experiment, BuildsConsistentTopology) {
   EXPECT_GT(m.param_count(), 0u);
 }
 
+/// Same per-client sizes and label histograms.
+bool same_population(const data::ClientPopulation& a,
+                     const data::ClientPopulation& b) {
+  if (a.num_clients() != b.num_clients()) return false;
+  for (std::size_t c = 0; c < a.num_clients(); ++c) {
+    if (a.data_count(c) != b.data_count(c)) return false;
+    const auto ca = a.label_counts(c), cb = b.label_counts(c);
+    if (!std::equal(ca.begin(), ca.end(), cb.begin(), cb.end())) return false;
+  }
+  return true;
+}
+
 TEST(Experiment, DeterministicInSeed) {
   ExperimentSpec spec = tiny_spec();
   const Experiment a = build_experiment(spec);
   const Experiment b = build_experiment(spec);
-  for (std::size_t i = 0; i < a.topology.clients.shards().size(); ++i) {
-    ASSERT_EQ(a.topology.clients.shards()[i].size(), b.topology.clients.shards()[i].size());
-    for (std::size_t j = 0; j < a.topology.clients.shards()[i].size(); ++j)
-      EXPECT_EQ(a.topology.clients.shards()[i].indices()[j],
-                b.topology.clients.shards()[i].indices()[j]);
-  }
+  EXPECT_TRUE(same_population(a.topology.clients.population(),
+                              b.topology.clients.population()));
 }
 
 TEST(Experiment, SeedChangesPartition) {
@@ -45,20 +55,8 @@ TEST(Experiment, SeedChangesPartition) {
   s2.seed = s1.seed + 1;
   const Experiment a = build_experiment(s1);
   const Experiment b = build_experiment(s2);
-  bool any_diff = false;
-  for (std::size_t i = 0; i < a.topology.clients.shards().size() && !any_diff; ++i) {
-    if (a.topology.clients.shards()[i].size() != b.topology.clients.shards()[i].size()) {
-      any_diff = true;
-      break;
-    }
-    for (std::size_t j = 0; j < a.topology.clients.shards()[i].size(); ++j)
-      if (a.topology.clients.shards()[i].indices()[j] !=
-          b.topology.clients.shards()[i].indices()[j]) {
-        any_diff = true;
-        break;
-      }
-  }
-  EXPECT_TRUE(any_diff);
+  EXPECT_FALSE(same_population(a.topology.clients.population(),
+                               b.topology.clients.population()));
 }
 
 TEST(Experiment, ModelKindsProduceWorkingFactories) {

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "data/partition.hpp"
-#include "data/synthetic.hpp"
+#include "data/client_descriptor.hpp"
+#include "data/label_matrix.hpp"
 #include "util/stats.hpp"
 
 namespace groupfel::grouping {
@@ -15,12 +15,6 @@ namespace {
 data::LabelMatrix skewed_matrix(std::size_t clients, double alpha,
                                 std::uint64_t seed = 11) {
   runtime::Rng rng(seed);
-  data::SyntheticSpec spec;
-  spec.num_classes = 10;
-  spec.sample_shape = {2};
-  spec.label_noise = 0.0;
-  auto pool = std::make_shared<data::DataSet>(
-      data::make_synthetic(spec, clients * 60, rng));
   data::PartitionSpec part;
   part.num_clients = clients;
   part.alpha = alpha;
@@ -28,8 +22,8 @@ data::LabelMatrix skewed_matrix(std::size_t clients, double alpha,
   part.size_std = 10;
   part.size_min = 10;
   part.size_max = 50;
-  auto shards = data::dirichlet_partition(pool, part, rng);
-  return data::LabelMatrix::from_shards(shards);
+  return data::LabelMatrix::from_population(
+      data::descriptor_partition(part, /*num_classes=*/10, rng));
 }
 
 struct Case {

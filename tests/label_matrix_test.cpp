@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "data/synthetic.hpp"
+#include <algorithm>
 
 namespace groupfel::data {
 namespace {
@@ -41,16 +41,13 @@ TEST(LabelMatrix, RejectsRaggedRows) {
   EXPECT_THROW(LabelMatrix({{1, 2}, {1}}, 2), std::invalid_argument);
 }
 
-TEST(LabelMatrix, FromShardsMatchesCounts) {
-  runtime::Rng rng(1);
-  SyntheticSpec spec;
-  spec.num_classes = 4;
-  spec.label_noise = 0.0;
-  auto ds = std::make_shared<DataSet>(make_synthetic(spec, 40, rng));
-  std::vector<ClientShard> shards;
-  shards.emplace_back(ds, std::vector<std::size_t>{0, 1, 2, 3});    // one of each
-  shards.emplace_back(ds, std::vector<std::size_t>{4, 8, 12});      // three label-0
-  const LabelMatrix m = LabelMatrix::from_shards(shards);
+TEST(LabelMatrix, FromPopulationMatchesCounts) {
+  ClientPopulation pop(2, 4);
+  const std::vector<ClientPopulation::Count> row0{1, 1, 1, 1};  // one of each
+  const std::vector<ClientPopulation::Count> row1{3, 0, 0, 0};  // three label-0
+  std::copy(row0.begin(), row0.end(), pop.label_counts_mutable(0).begin());
+  std::copy(row1.begin(), row1.end(), pop.label_counts_mutable(1).begin());
+  const LabelMatrix m = LabelMatrix::from_population(pop);
   EXPECT_EQ(m.num_clients(), 2u);
   EXPECT_EQ(m.num_labels(), 4u);
   EXPECT_EQ(m.row(0)[0], 1u);
@@ -58,8 +55,8 @@ TEST(LabelMatrix, FromShardsMatchesCounts) {
   EXPECT_EQ(m.row(1)[1], 0u);
 }
 
-TEST(LabelMatrix, EmptyShardsGiveEmptyMatrix) {
-  const LabelMatrix m = LabelMatrix::from_shards({});
+TEST(LabelMatrix, EmptyPopulationGivesEmptyMatrix) {
+  const LabelMatrix m = LabelMatrix::from_population(ClientPopulation(0, 4));
   EXPECT_EQ(m.num_clients(), 0u);
 }
 

@@ -130,6 +130,11 @@ TEST(DescriptorPartition, DeterministicInSeed) {
 TEST(DescriptorPartition, HistogramMatchesIntendedClassLayout) {
   const LazyShardSource source = make_source();
   const ClientPopulation& pop = source.population();
+  const PartitionSpec part = small_partition();
+  for (std::size_t c = 0; c < pop.num_clients(); ++c) {
+    EXPECT_GE(pop.data_count(c), part.size_min) << "client " << c;
+    EXPECT_LE(pop.data_count(c), part.size_max) << "client " << c;
+  }
   for (std::size_t c = 0; c < pop.num_clients(); c += 7) {
     std::vector<std::size_t> seen(pop.num_classes(), 0);
     for (std::size_t j = 0; j < pop.data_count(c); ++j)

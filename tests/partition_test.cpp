@@ -4,22 +4,12 @@
 
 #include <set>
 
+#include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
-#include "data/synthetic.hpp"
 #include "grouping/cov.hpp"
 
 namespace groupfel::data {
 namespace {
-
-std::shared_ptr<DataSet> make_pool(std::size_t n, std::size_t classes = 10,
-                                   std::uint64_t seed = 1) {
-  runtime::Rng rng(seed);
-  SyntheticSpec spec;
-  spec.num_classes = classes;
-  spec.sample_shape = {4};
-  spec.label_noise = 0.0;
-  return std::make_shared<DataSet>(make_synthetic(spec, n, rng));
-}
 
 PartitionSpec small_spec(std::size_t clients, double alpha) {
   PartitionSpec spec;
@@ -32,39 +22,20 @@ PartitionSpec small_spec(std::size_t clients, double alpha) {
   return spec;
 }
 
-TEST(Partition, ShardsAreDisjointAndSized) {
-  auto pool = make_pool(4000);
-  runtime::Rng rng(2);
-  const auto shards = dirichlet_partition(pool, small_spec(40, 0.5), rng);
-  ASSERT_EQ(shards.size(), 40u);
-  std::set<std::size_t> seen;
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.size(), 10u);
-    EXPECT_LE(shard.size(), 50u);
-    for (auto i : shard.indices()) {
-      EXPECT_TRUE(seen.insert(i).second) << "index assigned twice";
-    }
-  }
-}
-
-TEST(Partition, ThrowsWhenPoolTooSmall) {
-  auto pool = make_pool(100);
-  runtime::Rng rng(3);
-  EXPECT_THROW((void)dirichlet_partition(pool, small_spec(40, 0.5), rng),
-               std::invalid_argument);
-}
-
 TEST(Partition, RejectsBadSpecs) {
-  auto pool = make_pool(100);
   runtime::Rng rng(4);
   PartitionSpec spec = small_spec(1, 0.5);
   spec.size_min = 0;
-  EXPECT_THROW((void)dirichlet_partition(pool, spec, rng),
+  EXPECT_THROW((void)descriptor_partition(spec, 10, rng),
+               std::invalid_argument);
+  spec = small_spec(1, 0.5);
+  spec.size_min = spec.size_max + 1;
+  EXPECT_THROW((void)descriptor_partition(spec, 10, rng),
                std::invalid_argument);
   spec = small_spec(0, 0.5);
-  EXPECT_THROW((void)dirichlet_partition(pool, spec, rng),
+  EXPECT_THROW((void)descriptor_partition(spec, 10, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)dirichlet_partition(nullptr, small_spec(2, 0.5), rng),
+  EXPECT_THROW((void)descriptor_partition(small_spec(2, 0.5), 0, rng),
                std::invalid_argument);
 }
 
@@ -74,10 +45,9 @@ TEST_P(PartitionSkewTest, ClientCovDecreasesWithAlpha) {
   // Property: per-client label CoV should be much higher at alpha=0.05 than
   // at alpha=10 (approaching uniform).
   const double alpha = GetParam();
-  auto pool = make_pool(8000, 10, 7);
   runtime::Rng rng(5);
-  const auto shards = dirichlet_partition(pool, small_spec(60, alpha), rng);
-  const auto matrix = LabelMatrix::from_shards(shards);
+  const auto matrix = LabelMatrix::from_population(
+      descriptor_partition(small_spec(60, alpha), 10, rng));
   double mean_cov = 0.0;
   for (std::size_t i = 0; i < matrix.num_clients(); ++i)
     mean_cov += grouping::cov(matrix.row(i));
@@ -94,15 +64,14 @@ INSTANTIATE_TEST_SUITE_P(Alphas, PartitionSkewTest,
                          ::testing::Values(0.05, 0.5, 10.0));
 
 TEST(Partition, DeterministicGivenSeed) {
-  auto pool = make_pool(3000);
   runtime::Rng r1(42), r2(42);
-  const auto a = dirichlet_partition(pool, small_spec(20, 0.3), r1);
-  const auto b = dirichlet_partition(pool, small_spec(20, 0.3), r2);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size());
-    for (std::size_t j = 0; j < a[i].size(); ++j)
-      EXPECT_EQ(a[i].indices()[j], b[i].indices()[j]);
+  const ClientPopulation a = descriptor_partition(small_spec(20, 0.3), 10, r1);
+  const ClientPopulation b = descriptor_partition(small_spec(20, 0.3), 10, r2);
+  ASSERT_EQ(a.num_clients(), b.num_clients());
+  for (std::size_t i = 0; i < a.num_clients(); ++i) {
+    ASSERT_EQ(a.data_count(i), b.data_count(i));
+    const auto ca = a.label_counts(i), cb = b.label_counts(i);
+    for (std::size_t k = 0; k < ca.size(); ++k) EXPECT_EQ(ca[k], cb[k]);
   }
 }
 

@@ -350,6 +350,36 @@ TEST(SweepCodec, RejectsRemovedStoragePrecision) {
   }
 }
 
+TEST(SweepCodec, RejectsRemovedClientStateMode) {
+  ExperimentSpec spec = sample_spec();
+  spec.client_state = ClientStateMode::kLazy;
+  nn::ByteWriter w;
+  encode(w, spec);
+  std::vector<std::byte> bytes = w.take();
+  // Layout tail: ..., seed (u64), client_state (u32).
+  const std::size_t state_at = bytes.size() - 4;
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + state_at, sizeof(v));
+  ASSERT_EQ(v, 1u) << "client_state enum not where the layout says";
+  {
+    nn::ByteReader r(bytes);
+    EXPECT_EQ(decode_experiment_spec(r).client_state, ClientStateMode::kLazy);
+  }
+  // 2 was kLazy before codec v4 dropped the pool-resident mode; it is no
+  // longer a valid value.
+  v = 2;
+  std::memcpy(bytes.data() + state_at, &v, sizeof(v));
+  nn::ByteReader r(bytes);
+  try {
+    (void)decode_experiment_spec(r);
+    FAIL() << "ClientStateMode 2 decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ClientStateMode value 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepCodec, RejectsWrongCodecVersion) {
   std::vector<std::byte> payload = encode_cell_result(sample_result());
   payload[0] ^= std::byte{0x40};  // corrupt the leading version word
@@ -370,9 +400,9 @@ TEST(SweepJournal, OldCodecVersionNamesBothVersions) {
   const std::uint64_t fingerprint = 0x1234abcdull;
   const std::size_t num_cells = 3;
   {
-    // A header exactly as a codec-v2 build wrote it.
+    // A header exactly as a codec-v3 build wrote it.
     nn::ByteWriter w;
-    w.u32(2);
+    w.u32(3);
     w.u64(fingerprint);
     w.size(num_cells);
     const std::vector<std::byte> frame =
@@ -381,14 +411,14 @@ TEST(SweepJournal, OldCodecVersionNamesBothVersions) {
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<std::streamsize>(frame.size()));
   }
-  ASSERT_EQ(kSweepCodecVersion, 3u);
+  ASSERT_EQ(kSweepCodecVersion, 4u);
   try {
     (void)SweepJournal::load(path, fingerprint, num_cells);
-    FAIL() << "a v2 journal loaded";
+    FAIL() << "a v3 journal loaded";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("uses codec version 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("expects version 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("uses codec version 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("expects version 4"), std::string::npos) << msg;
     EXPECT_NE(msg.find("delete it or drop --resume"), std::string::npos)
         << msg;
   }

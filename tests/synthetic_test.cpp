@@ -123,21 +123,6 @@ TEST(Dataset, GatherRejectsBadIndex) {
   EXPECT_THROW((void)ds.gather(bad), std::out_of_range);
 }
 
-TEST(Dataset, LabelPoolsPartitionIndices) {
-  runtime::Rng rng(6);
-  SyntheticSpec spec;
-  spec.num_classes = 4;
-  const DataSet ds = make_synthetic(spec, 40, rng);
-  const auto pools = ds.label_pools();
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < pools.size(); ++c) {
-    for (auto i : pools[c])
-      EXPECT_EQ(static_cast<std::size_t>(ds.label(i)), c);
-    total += pools[c].size();
-  }
-  EXPECT_EQ(total, ds.size());
-}
-
 TEST(ClientShard, LabelCountsAndBatch) {
   runtime::Rng rng(7);
   SyntheticSpec spec;

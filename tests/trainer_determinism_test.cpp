@@ -79,9 +79,20 @@ void expect_pool_invariant(const Experiment& exp, const GroupFelConfig& cfg) {
   expect_identical(serial, run_with_pool(exp, cfg, 24));
 }
 
+GroupFelConfig fedclar_cfg() {
+  GroupFelConfig cfg = tiny_cfg();
+  apply_method(Method::kFedClar, cfg);
+  cfg.fedclar.cluster_round = 1;
+  cfg.global_rounds = 3;
+  return cfg;
+}
+
 TEST(TrainerDeterminism, BitIdenticalAcrossPoolSizes) {
   const Experiment exp = build_experiment(tiny_spec());
   expect_pool_invariant(exp, tiny_cfg());
+  // FedCLAR's sub-groups (one per sampled group and cluster) train in
+  // parallel and merge per cluster.
+  expect_pool_invariant(exp, fedclar_cfg());
 }
 
 std::vector<float> random_params(std::size_t dim, runtime::Rng& rng) {
@@ -159,6 +170,90 @@ TEST(TrainerDeterminism, LegacyAndOptimizedPathsAgree) {
       cloud.aggregate_into(out, sampled, group_views, &pool);
       expect_same_bits_as(cloud_legacy, out);
     }
+  }
+}
+
+/// The trainer's stream key: (a*P + b)*P + c with P = 1000003.
+std::uint64_t stream_tag(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  return (a * 1000003ull + b) * 1000003ull + c;
+}
+
+// FedCLAR merges each cluster's sub-group models through
+// nn::weighted_average_into, weighted by data count. With a merge threshold
+// above the largest cosine distance (2) every client joins one cluster, so
+// after one post-clustering round the trainer's final model IS that
+// cluster's merge. The round is rebuilt here from public APIs: the sampled
+// groups (Cloud::sample on the trainer's round-0 stream), each member's
+// local SGD from the starting model on its (round, group, k, client)
+// stream, the edge average by n_i/n_g, and the cluster merge by
+// n_g / sum n_g in job order.
+TEST(TrainerDeterminism, FedClarClusterMergeMatchesRebuild) {
+  const Experiment exp = build_experiment(tiny_spec());
+  GroupFelConfig cfg = tiny_cfg();
+  apply_method(Method::kFedClar, cfg);
+  cfg.fedclar.cluster_round = 0;
+  cfg.fedclar.merge_threshold = 3.0;
+  cfg.global_rounds = 1;
+  cfg.group_rounds = 1;
+
+  runtime::ThreadPool inline_pool(0);
+  GroupFelConfig init_cfg = cfg;
+  init_cfg.global_rounds = 0;  // no round runs: final_params = initial model
+  GroupFelTrainer init_trainer(exp.topology, init_cfg, tiny_cost(),
+                               &inline_pool);
+  const std::vector<float> start = init_trainer.train().final_params;
+  const std::vector<FormedGroup> groups = init_trainer.groups();
+
+  Cloud cloud(cfg.sampling, cfg.aggregation);
+  cloud.set_groups(groups, &inline_pool);
+  runtime::Rng sample_rng =
+      runtime::Rng(cfg.seed).fork(stream_tag(0x5a3bull, 0, 0));
+  const std::vector<std::size_t> sampled =
+      cloud.sample(cfg.sampled_groups, sample_rng);
+  ASSERT_GE(sampled.size(), 2u);
+
+  algorithms::LocalTrainConfig local_cfg = cfg.local;
+  local_cfg.epochs = cfg.local_epochs;
+  algorithms::SgdRule rule;
+  const data::ClientDataStore& clients = exp.topology.clients;
+  std::vector<std::vector<float>> group_models;
+  std::vector<double> group_data;
+  double cluster_data = 0.0;
+  for (const std::size_t gi : sampled) {
+    const FormedGroup& group = groups[gi];
+    const std::uint64_t tag = gi * 31 /* + cluster 0 */;
+    std::vector<std::vector<float>> locals;
+    std::vector<double> member_data;
+    double surviving = 0.0;
+    for (const std::size_t cid : group.clients) {
+      nn::Model model = exp.topology.model_factory();
+      model.set_flat_parameters(start);
+      runtime::Rng client_rng =
+          runtime::Rng(cfg.seed).fork(stream_tag(0, tag * 131, cid));
+      (void)rule.train_client(model, clients.client(cid), start, cid,
+                              local_cfg, client_rng);
+      locals.push_back(model.flat_parameters());
+      member_data.push_back(static_cast<double>(clients.data_count(cid)));
+      surviving += member_data.back();
+    }
+    for (double& w : member_data) w /= surviving;
+    const std::vector<std::span<const float>> views(locals.begin(),
+                                                    locals.end());
+    group_models.push_back(start);
+    nn::weighted_average_into(group_models.back(), views, member_data);
+    group_data.push_back(surviving);
+    cluster_data += group_data.back();
+  }
+  for (double& w : group_data) w /= cluster_data;
+  const std::vector<std::span<const float>> group_views(group_models.begin(),
+                                                        group_models.end());
+  std::vector<float> merged(start.size());
+  nn::weighted_average_into(merged, group_views, group_data);
+
+  for (const std::size_t threads : {0, 2, 24}) {
+    SCOPED_TRACE(threads);
+    const TrainResult result = run_with_pool(exp, cfg, threads);
+    expect_same_bits_as(merged, result.final_params);
   }
 }
 

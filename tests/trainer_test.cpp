@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/experiment.hpp"
 
@@ -291,6 +292,39 @@ TEST(Trainer, RejectsInvalidTopology) {
   no_factory.model_factory = nullptr;
   EXPECT_THROW(GroupFelTrainer(no_factory, cfg, tiny_cost()),
                std::invalid_argument);
+}
+
+/// Expects the constructor to throw std::invalid_argument naming `field`.
+void expect_rejects_config(const GroupFelConfig& cfg, const char* field) {
+  const Experiment exp = build_experiment(tiny_spec());
+  try {
+    GroupFelTrainer trainer(exp.topology, cfg, tiny_cost());
+    ADD_FAILURE() << "config with a bad " << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Trainer, RejectsZeroEvalEvery) {
+  GroupFelConfig cfg = tiny_cfg();
+  cfg.eval_every = 0;
+  expect_rejects_config(cfg, "eval_every");
+}
+
+TEST(Trainer, RejectsDropoutRateOutsideUnitInterval) {
+  for (const double rate : {-0.1, 1.5, std::nan("")}) {
+    SCOPED_TRACE(rate);
+    GroupFelConfig cfg = tiny_cfg();
+    cfg.client_dropout_rate = rate;
+    expect_rejects_config(cfg, "client_dropout_rate");
+  }
+}
+
+TEST(Trainer, RejectsZeroSampledGroups) {
+  GroupFelConfig cfg = tiny_cfg();
+  cfg.sampled_groups = 0;
+  expect_rejects_config(cfg, "sampled_groups");
 }
 
 TEST(Trainer, GroupSummaryIsConsistent) {
