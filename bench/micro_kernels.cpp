@@ -2,8 +2,8 @@
 // reproduction bottoms out in (GEMM, Conv2d fwd/bwd) against their retained
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
-// FLAME pairwise cosine). Emits BENCH_kernels.json so the kernel perf
-// trajectory is tracked from PR 1 onward.
+// FLAME pairwise cosine, gated bitwise against its per-pair loop). Emits
+// BENCH_kernels.json so the kernel perf trajectory is tracked.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
@@ -17,10 +17,13 @@
 // MLP surrogate's forward/backward (eval batch 256, feature 32, hidden 64),
 // and the im2col'd first layers of ResNet3 (CIFAR task) and CNN5 (Speech
 // Commands task) at batch 32.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -271,7 +274,31 @@ KernelReport bench_secagg_mask(std::size_t n, std::size_t reps) {
   return r;
 }
 
-/// FLAME pairwise cosine matrix — the O(|g|²·d) group operation.
+/// Naive oracle for the FLAME row: the per-pair loop the Gram kernel
+/// replaced (both norms recomputed per pair, three serial double sums).
+std::vector<std::vector<double>> naive_pairwise_cosine_distance(
+    const std::vector<std::vector<float>>& updates) {
+  const std::size_t n = updates.size();
+  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double dot = 0.0, na = 0.0, nb = 0.0;
+      for (std::size_t k = 0; k < updates[i].size(); ++k) {
+        const double x = updates[i][k], y = updates[j][k];
+        dot += x * y;
+        na += x * x;
+        nb += y * y;
+      }
+      const double sim = (na == 0.0 || nb == 0.0)
+                             ? 0.0
+                             : dot / (std::sqrt(na) * std::sqrt(nb));
+      dist[i][j] = dist[j][i] = 1.0 - sim;
+    }
+  return dist;
+}
+
+/// FLAME pairwise cosine matrix — the O(|g|²·d) group operation. The Gram
+/// kernel must match the per-pair oracle bit for bit (tolerance 0).
 KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
                                 std::size_t reps) {
   runtime::Rng rng(17);
@@ -284,17 +311,23 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
   r.shape = "g" + std::to_string(clients) + "_d" + std::to_string(dim);
   r.flops = 2.0 * static_cast<double>(clients) *
             static_cast<double>(clients) * static_cast<double>(dim);
-  double sink = 0.0;
-  const double secs = time_best(
-      [&] {
-        const auto m = backdoor::pairwise_cosine_distance(updates);
-        sink += m[0][clients - 1];
-      },
-      reps);
-  if (sink > 1e30) std::cout << "";
-  r.naive_gflops = r.opt_gflops = r.flops / secs * 1e-9;
-  r.speedup = 1.0;
-  r.note = "single implementation (tracked)";
+  r.tolerance = 0.0;
+  std::vector<std::vector<double>> got, want;
+  const auto opt = [&] { got = backdoor::pairwise_cosine_distance(updates); };
+  const auto naive = [&] { want = naive_pairwise_cosine_distance(updates); };
+  opt();
+  naive();
+  for (std::size_t i = 0; i < clients; ++i)
+    for (std::size_t j = 0; j < clients; ++j)
+      if (std::memcmp(&got[i][j], &want[i][j], sizeof(double)) != 0)
+        r.max_rel_err = std::max(
+            {r.max_rel_err, std::abs(got[i][j] - want[i][j]) /
+                                std::max(1.0, std::abs(want[i][j])),
+             std::numeric_limits<double>::min()});
+  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
+  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  r.speedup = r.opt_gflops / r.naive_gflops;
+  r.note = "Gram kernel vs per-pair loop; bitwise";
   return r;
 }
 
@@ -364,6 +397,8 @@ int main(int argc, char** argv) {
   // Protocol kernels (Fig. 2a / Fig. 8 cost drivers).
   reports.push_back(bench_secagg_mask(g_smoke ? 4096 : 65536, 9));
   reports.push_back(bench_flame_cosine(16, g_smoke ? 2048 : 16384, 9));
+  // The fleet_1m shape: groups of ~100 clients, the 2442-parameter MLP.
+  reports.push_back(bench_flame_cosine(100, 2442, 9));
 
   std::cout << util::ascii_table(
       "Kernel microbenchmarks (naive vs optimized)",

@@ -7,12 +7,6 @@
 namespace groupfel::backdoor {
 
 namespace {
-double l2(std::span<const float> v) {
-  double s = 0.0;
-  for (float x : v) s += static_cast<double>(x) * static_cast<double>(x);
-  return std::sqrt(s);
-}
-
 /// 1-D 2-means (exact enough at this scale): initialized at min/max, Lloyd
 /// iterations until stable. Returns per-point cluster and both centroids.
 struct TwoMeans {
@@ -64,15 +58,17 @@ FlameResult flame_filter(const std::vector<std::vector<float>>& updates,
 
   FlameResult res;
   res.accepted.assign(n, true);
+  // One Gram pass gives the pairwise dot products and, on its diagonal,
+  // the squared norms that step 3 clips with.
+  const std::vector<double> gram = gram_matrix(updates);
 
   if (n >= 3) {
     // Step 1+2: mean cosine distance profile, then 1-D 2-means.
-    const auto dist = pairwise_cosine_distance(updates);
     std::vector<double> mean_dist(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       double s = 0.0;
       for (std::size_t j = 0; j < n; ++j)
-        if (j != i) s += dist[i][j];
+        if (j != i) s += cosine_distance(gram, n, i, j);
       mean_dist[i] = s / static_cast<double>(n - 1);
     }
     const TwoMeans tm = two_means_1d(mean_dist);
@@ -94,7 +90,7 @@ FlameResult flame_filter(const std::vector<std::vector<float>>& updates,
   // Step 3: median-norm clipping over accepted updates.
   std::vector<double> norms;
   for (std::size_t i = 0; i < n; ++i)
-    if (res.accepted[i]) norms.push_back(l2(updates[i]));
+    if (res.accepted[i]) norms.push_back(std::sqrt(gram[i * n + i]));
   std::sort(norms.begin(), norms.end());
   res.clip_norm = norms.empty() ? 0.0 : norms[norms.size() / 2];
 
@@ -103,7 +99,7 @@ FlameResult flame_filter(const std::vector<std::vector<float>>& updates,
   for (std::size_t i = 0; i < n; ++i) {
     if (!res.accepted[i]) continue;
     ++accepted_count;
-    const double norm = l2(updates[i]);
+    const double norm = std::sqrt(gram[i * n + i]);
     const double scale =
         (norm > res.clip_norm && norm > 0.0) ? res.clip_norm / norm : 1.0;
     for (std::size_t k = 0; k < dim; ++k)

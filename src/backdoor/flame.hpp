@@ -4,6 +4,9 @@
 //      cluster closer to the crowd is accepted (majority-benign assumption)
 //   3. accepted updates are norm-clipped to the median norm and averaged
 //   4. optional Gaussian noise proportional to the clip norm (DP-style)
+// Steps 1 and 3 read one Gram pass, G = U·Uᵀ (backdoor/cosine.hpp): its
+// off-diagonal entries give the cosine distances and sqrt(G_ii) is client
+// i's L2 norm for the clip.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "runtime/rng.hpp"
 
 namespace groupfel::nn {
 namespace {
@@ -92,6 +97,68 @@ TEST(CrossEntropy, RejectsBadInputs) {
   const std::vector<std::int32_t> out_of_range{0, 3};
   EXPECT_THROW((void)softmax_cross_entropy(logits, out_of_range),
                std::invalid_argument);
+}
+
+/// Verbatim copy of the two-pass loss loop that preceded the single-exp
+/// kernel: exp(logit - max) once for the denominator and again for the
+/// gradient.
+LossResult reference_two_pass_loss(const Tensor& logits,
+                                   std::span<const std::int32_t> labels) {
+  const std::size_t n = logits.dim(0), c = logits.dim(1);
+  LossResult res;
+  res.grad = Tensor({n, c});
+  const float inv_n = 1.0f / static_cast<float>(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto label = static_cast<std::size_t>(labels[i]);
+    float mx = logits.at2(i, 0);
+    std::size_t argmax = 0;
+    for (std::size_t j = 1; j < c; ++j)
+      if (logits.at2(i, j) > mx) {
+        mx = logits.at2(i, j);
+        argmax = j;
+      }
+    if (argmax == label) ++res.correct;
+
+    double denom = 0.0;
+    for (std::size_t j = 0; j < c; ++j)
+      denom += std::exp(static_cast<double>(logits.at2(i, j) - mx));
+    const double log_denom = std::log(denom);
+    total += log_denom - static_cast<double>(logits.at2(i, label) - mx);
+
+    for (std::size_t j = 0; j < c; ++j) {
+      const double p =
+          std::exp(static_cast<double>(logits.at2(i, j) - mx)) / denom;
+      res.grad.at2(i, j) =
+          (static_cast<float>(p) - (j == label ? 1.0f : 0.0f)) * inv_n;
+    }
+  }
+  res.loss = total / static_cast<double>(n);
+  return res;
+}
+
+TEST(Loss, SingleExpMatchesTwoPassReferenceBitwise) {
+  LossResult reused;  // shrinks and grows across shapes, as in training
+  for (const std::size_t n : {1, 8, 33}) {
+    for (const std::size_t c : {1, 2, 10, 35}) {
+      runtime::Rng rng(n * 100 + c);
+      Tensor logits({n, c});
+      for (auto& v : logits.data())
+        v = static_cast<float>(rng.normal() * (n == 33 ? 40.0 : 3.0));
+      std::vector<std::int32_t> labels(n);
+      for (auto& l : labels) l = static_cast<std::int32_t>(rng.next_below(c));
+      SCOPED_TRACE(::testing::Message() << "n " << n << " c " << c);
+
+      const LossResult want = reference_two_pass_loss(logits, labels);
+      softmax_cross_entropy_into(logits, labels, reused);
+      EXPECT_EQ(std::memcmp(&reused.loss, &want.loss, sizeof want.loss), 0);
+      EXPECT_EQ(reused.correct, want.correct);
+      ASSERT_EQ(reused.grad.size(), want.grad.size());
+      EXPECT_EQ(std::memcmp(reused.grad.data().data(), want.grad.data().data(),
+                            want.grad.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 }  // namespace
