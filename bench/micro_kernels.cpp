@@ -2,7 +2,9 @@
 // reproduction bottoms out in (GEMM, Conv2d fwd/bwd) against their retained
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
-// FLAME pairwise cosine, gated bitwise against its per-pair loop). Emits
+// FLAME pairwise cosine, gated bitwise against its per-pair loop), and the
+// per-sample normal synthesis behind every minibatch (gated bitwise on the
+// stored float casts against the glibc Box–Muller loop). Emits
 // BENCH_kernels.json so the kernel perf trajectory is tracked.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,6 +334,75 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
   return r;
 }
 
+/// The scalar Box–Muller through glibc that Rng::normal() was before its
+/// transform became the libm-free lane kernel: same draws, same caching.
+class LibmNormal {
+ public:
+  explicit LibmNormal(std::uint64_t seed) : rng_(seed) {}
+  double next() {
+    if (has_cached_) {
+      has_cached_ = false;
+      return cached_;
+    }
+    double u1 = rng_.next_double();
+    while (u1 <= 1e-300) u1 = rng_.next_double();
+    const double u2 = rng_.next_double();
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    cached_ = r * std::sin(theta);
+    has_cached_ = true;
+    return r * std::cos(theta);
+  }
+
+ private:
+  runtime::Rng rng_;
+  double cached_ = 0.0;
+  bool has_cached_ = false;
+};
+
+/// Per-sample noise synthesis: `samples` draws of `dim` normals, as
+/// data::synthesize_sample makes them, through Rng::normals_into against
+/// the glibc loop. The float casts at the spec's noise scale (what a
+/// sample stores) must match bit for bit (tolerance 0). "flops" counts
+/// normals, so the rates are 1e9 normals/s.
+KernelReport bench_synth_normals(std::size_t dim, double noise_scale,
+                                 std::size_t samples, std::size_t reps) {
+  KernelReport r;
+  r.name = "synth_normals";
+  r.shape = "d" + std::to_string(dim);
+  r.flops = static_cast<double>(dim * samples);
+  r.tolerance = 0.0;
+  std::vector<double> got(dim * samples), want(dim * samples);
+  const auto opt = [&] {
+    runtime::Rng rng(23);
+    for (std::size_t i = 0; i < samples; ++i)
+      rng.normals_into(std::span<double>(got).subspan(i * dim, dim));
+  };
+  const auto naive = [&] {
+    LibmNormal libm(23);
+    for (auto& v : want) v = libm.next();
+  };
+  opt();
+  naive();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto g = static_cast<float>(got[i] * noise_scale);
+    const auto w = static_cast<float>(want[i] * noise_scale);
+    if (std::memcmp(&g, &w, sizeof(float)) != 0) {
+      const auto gd = static_cast<double>(g);
+      const auto wd = static_cast<double>(w);
+      r.max_rel_err =
+          std::max({r.max_rel_err,
+                    std::abs(gd - wd) / std::max(1.0, std::abs(wd)),
+                    std::numeric_limits<double>::min()});
+    }
+  }
+  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
+  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  r.speedup = r.opt_gflops / r.naive_gflops;
+  r.note = "normals_into vs glibc Box-Muller; float casts bitwise; Gnormal/s";
+  return r;
+}
+
 void write_json(const std::vector<KernelReport>& reports,
                 const std::string& path) {
   std::ofstream out(path);
@@ -399,6 +471,10 @@ int main(int argc, char** argv) {
   reports.push_back(bench_flame_cosine(16, g_smoke ? 2048 : 16384, 9));
   // The fleet_1m shape: groups of ~100 clients, the 2442-parameter MLP.
   reports.push_back(bench_flame_cosine(100, 2442, 9));
+  // Sample synthesis: the CIFAR-like (d32, noise 1.4) and SC-like (d40,
+  // noise 1.8) feature vectors.
+  reports.push_back(bench_synth_normals(32, 1.4, g_smoke ? 512 : 16384, 9));
+  reports.push_back(bench_synth_normals(40, 1.8, g_smoke ? 512 : 16384, 9));
 
   std::cout << util::ascii_table(
       "Kernel microbenchmarks (naive vs optimized)",

@@ -4,6 +4,7 @@
 #include <deque>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +37,24 @@ namespace {
   std::vector<std::byte> out = w.take();
   out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+/// Reaps a worker whose pipe broke and throws the error that names it, how
+/// it ended and the cell it held. Closing our end first means a worker
+/// that is somehow still alive sees EOF and exits, so the wait cannot
+/// hang. Cells already completed were journaled before this point and
+/// survive for --resume.
+[[noreturn]] void throw_worker_died(proc::Subprocess& worker,
+                                    const std::string& cell_label,
+                                    const std::string& stream) {
+  const pid_t pid = worker.pid();
+  worker.close_write();
+  const proc::ExitStatus exit = worker.wait();
+  throw std::runtime_error(util::cat(
+      "sweep worker pid ", pid,
+      exit.signaled ? " killed by signal " : " exited with code ", exit.code,
+      " while running cell '", cell_label, "' (stream: ", stream,
+      "); completed cells remain in the checkpoint journal"));
 }
 
 }  // namespace
@@ -139,8 +158,14 @@ void run_sweep_process(
       return;
     }
     const std::size_t cell_index = pending[next++];
-    proc::write_frame_fd(workers[w].write_fd(), kCellFrame,
-                         indexed_payload(cell_index, encode_cell(cells[cell_index])));
+    const std::vector<std::byte> payload =
+        indexed_payload(cell_index, encode_cell(cells[cell_index]));
+    try {
+      proc::write_frame_fd(workers[w].write_fd(), kCellFrame, payload);
+    } catch (const std::runtime_error& e) {
+      // The worker is gone (EPIPE): it died before it could take the cell.
+      throw_worker_died(workers[w], cells[cell_index].label, e.what());
+    }
     current[w] = cell_index;
     ++outstanding;
   };
@@ -161,20 +186,9 @@ void run_sweep_process(
     const std::size_t w = fd_worker[proc::wait_any_readable(fds)];
 
     const proc::ReadStatus status = proc::read_frame_fd(workers[w].read_fd(), frame);
-    if (status != proc::ReadStatus::kOk) {
-      // Worker died (or corrupted its stream) with a cell in flight. Reap it
-      // so the error names the signal/exit code; cells already completed were
-      // journaled before this point and survive for --resume.
-      const std::size_t cell_index = current[w];
-      const pid_t pid = workers[w].pid();
-      const proc::ExitStatus exit = workers[w].wait();
-      throw std::runtime_error(util::cat(
-          "sweep worker pid ", pid,
-          exit.signaled ? " killed by signal " : " exited with code ",
-          exit.code, " while running cell '", cells[cell_index].label,
-          "' (stream: ", proc::to_string(status),
-          "); completed cells remain in the checkpoint journal"));
-    }
+    if (status != proc::ReadStatus::kOk)  // died or corrupted its stream
+      throw_worker_died(workers[w], cells[current[w]].label,
+                        proc::to_string(status));
 
     nn::ByteReader header(frame.payload);
     const std::size_t index = header.size();

@@ -1,5 +1,6 @@
 #include "data/synthetic.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace groupfel::data {
@@ -53,49 +54,59 @@ std::uint64_t sample_stream_seed(std::uint64_t client_seed,
   return runtime::splitmix64(sm);
 }
 
-std::int32_t synthesize_sample(const SyntheticSpec& spec,
-                               std::span<const float> prototypes,
-                               std::uint64_t seed, std::size_t cls,
-                               float* out) {
-  const std::size_t dim = nn::shape_size(spec.sample_shape);
-  runtime::Rng rng(seed);
-  // Same draw order as make_synthetic: mode, features, label reroll.
+namespace {
+
+/// The one per-sample draw behind synthesize_sample and make_synthetic:
+/// mode, then `dim` noise values, then the label reroll, all from `rng`.
+/// Returns the observed label.
+std::int32_t draw_sample(const SyntheticSpec& spec,
+                         std::span<const float> prototypes, std::size_t dim,
+                         std::size_t cls, runtime::Rng& rng, float* out) {
   const std::size_t modes = spec.modes_per_class;
   const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
   const float* proto = prototypes.data() + (cls * modes + mode) * dim;
-  for (std::size_t d = 0; d < dim; ++d)
-    out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
+  constexpr std::size_t kChunk = 128;
+  double noise[kChunk];
+  for (std::size_t begin = 0; begin < dim; begin += kChunk) {
+    const std::size_t len = std::min(kChunk, dim - begin);
+    rng.normals_into(std::span<double>(noise, len));
+    for (std::size_t d = 0; d < len; ++d)
+      out[begin + d] = proto[begin + d] +
+                       static_cast<float>(noise[d] * spec.noise_scale);
+  }
   std::int32_t label = static_cast<std::int32_t>(cls);
   if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
     label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));
   return label;
 }
 
+}  // namespace
+
+std::int32_t synthesize_sample(const SyntheticSpec& spec,
+                               std::span<const float> prototypes,
+                               std::uint64_t seed, std::size_t cls,
+                               float* out) {
+  runtime::Rng rng(seed);
+  return draw_sample(spec, prototypes, nn::shape_size(spec.sample_shape), cls,
+                     rng, out);
+}
+
 DataSet make_synthetic(const SyntheticSpec& spec, std::size_t n,
                        runtime::Rng& rng) {
   const std::vector<float> prototypes = make_prototypes(spec);
   const std::size_t dim = nn::shape_size(spec.sample_shape);
-  const std::size_t modes = spec.modes_per_class;
 
   std::vector<std::size_t> shape;
   shape.push_back(n);
   shape.insert(shape.end(), spec.sample_shape.begin(), spec.sample_shape.end());
   nn::Tensor features(shape);
   std::vector<std::int32_t> labels(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    // Round-robin over classes keeps the global distribution balanced.
-    const std::size_t cls = i % spec.num_classes;
-    const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
-    const float* proto = prototypes.data() + (cls * modes + mode) * dim;
-    float* out = features.raw() + i * dim;
-    for (std::size_t d = 0; d < dim; ++d)
-      out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
-    std::int32_t label = static_cast<std::int32_t>(cls);
-    if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
-      label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));
-    labels[i] = label;
-  }
+  // Round-robin over classes keeps the global distribution balanced. The
+  // samples share `rng`, so with an odd dim a cached normal carries from
+  // one sample into the next, as it always has.
+  for (std::size_t i = 0; i < n; ++i)
+    labels[i] = draw_sample(spec, prototypes, dim, i % spec.num_classes, rng,
+                            features.raw() + i * dim);
   return DataSet(std::move(features), std::move(labels), spec.num_classes);
 }
 

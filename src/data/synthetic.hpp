@@ -37,7 +37,8 @@ struct SyntheticSpec {
 };
 
 /// Draws `n` samples with uniform class frequencies (the paper assumes the
-/// global distribution is balanced, §5.1).
+/// global distribution is balanced, §5.1), one after another from `rng`
+/// with synthesize_sample's per-sample draw.
 [[nodiscard]] DataSet make_synthetic(const SyntheticSpec& spec, std::size_t n,
                                      runtime::Rng& rng);
 
@@ -55,10 +56,12 @@ struct SyntheticSpec {
     noexcept;
 
 /// Synthesizes ONE sample of intended class `cls` from its own stream:
-/// mode draw, prototype + isotropic noise into `out` (dim floats), then the
-/// label-noise reroll. Returns the observed label. Deterministic in
-/// (spec, prototypes, seed, cls) — repeated calls are bit-identical, which
-/// is the contract the lazy client-state path is built on.
+/// mode draw, prototype + isotropic noise into `out` (dim floats, drawn by
+/// Rng::normals_into), then the label-noise reroll. make_synthetic draws
+/// each sample the same way from its shared stream. Returns the observed
+/// label. Deterministic in (spec, prototypes, seed, cls) on every host libm
+/// — repeated calls are bit-identical, which is the contract the lazy
+/// client-state path is built on.
 std::int32_t synthesize_sample(const SyntheticSpec& spec,
                                std::span<const float> prototypes,
                                std::uint64_t seed, std::size_t cls,

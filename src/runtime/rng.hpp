@@ -18,6 +18,16 @@ namespace groupfel::runtime {
 /// splitmix64 step; used to derive seeds and to seed xoshiro state.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Box–Muller's ln(u1) for u1 in [2^-53, 1 - 2^-53] (fdlibm
+/// __ieee754_log); exposed so tests can hold it against std::log.
+[[nodiscard]] double box_muller_log(double u1) noexcept;
+
+/// Box–Muller's sin and cos of theta in [0, 2pi) (fdlibm's medium-range
+/// pi/2 reduction and sin/cos kernels); exposed for tests like
+/// box_muller_log.
+void box_muller_sincos(double theta, double& sin_out,
+                       double& cos_out) noexcept;
+
 /// xoshiro256++ generator. Small, fast, passes BigCrush; not cryptographic
 /// (the secagg module layers a keyed PRG on top for mask expansion).
 class Rng {
@@ -46,8 +56,17 @@ class Rng {
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
-  /// Standard normal via Box–Muller (cached second value).
+  /// Standard normal via Box–Muller (cached second value). The transform
+  /// is computed from plain IEEE double operations (fdlibm's log and
+  /// sin/cos kernels, no libm call), so its bits are the same in every
+  /// build and on every host libm.
   [[nodiscard]] double normal() noexcept;
+
+  /// Fills `out` with exactly the values of out.size() consecutive normal()
+  /// calls and leaves the same stream position and cached second value.
+  /// Draws up to 64 (u1, u2) pairs at a time and runs the Box–Muller
+  /// transform over them as one vectorizable lane loop.
+  void normals_into(std::span<double> out) noexcept;
 
   /// Normal with mean/stddev.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "core/edge_server.hpp"
@@ -109,6 +110,78 @@ TEST(LazyShardSource, MaterializedPopulationBitIdenticalToLazy) {
     source.batch_into(c, all, lazy);
     mat.shards[c].batch_into(all, resident);
     expect_batches_equal(lazy, resident);
+  }
+}
+
+void fnv1a(std::uint64_t& h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+void hash_floats(std::uint64_t& h, std::span<const float> values) {
+  for (const float v : values) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    fnv1a(h, bits);
+  }
+}
+
+void hash_batch(std::uint64_t& h, const DataSet::Batch& batch) {
+  for (const auto label : batch.labels)
+    fnv1a(h, static_cast<std::uint64_t>(label));
+  hash_floats(h, batch.features.data());
+}
+
+/// Every synthesis entry point: lazy batches on shuffled positions (with a
+/// duplicate), the resident population built from the same source, and a
+/// make_synthetic set drawn from one shared stream. The odd-dim spec makes
+/// make_synthetic carry a cached normal from one sample into the next.
+/// Hashes are of the float bits, recorded on the scalar Box–Muller.
+TEST(PinnedHashes, Synthesis) {
+  SyntheticSpec odd = small_spec();
+  odd.sample_shape = {7};
+  odd.modes_per_class = 3;
+  odd.noise_scale = 1.3;
+  struct Case {
+    const char* name;
+    SyntheticSpec spec;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"cifar", cifar_like_spec(false), 0x0e4549fcb115b158ull},
+      {"cifar_image", cifar_like_spec(true), 0x97edad3032855df6ull},
+      {"sc", sc_like_spec(false), 0x233870b35e65af8eull},
+      {"sc_image", sc_like_spec(true), 0x51ae2cfb9e1e51cbull},
+      {"odd7", odd, 0x427c77b3d3c2bd80ull}};
+  for (const Case& c : cases) {
+    runtime::Rng part_rng(31);
+    const LazyShardSource source(
+        c.spec, descriptor_partition(small_partition(), c.spec.num_classes,
+                                     part_rng));
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    runtime::Rng order_rng(37);
+    DataSet::Batch batch;
+    for (std::size_t client = 0; client < source.num_clients(); client += 5) {
+      std::vector<std::size_t> positions(source.data_count(client));
+      std::iota(positions.begin(), positions.end(), std::size_t{0});
+      order_rng.shuffle(positions);
+      positions.push_back(positions.front());
+      source.batch_into(client, positions, batch);
+      hash_batch(h, batch);
+    }
+    const MaterializedPopulation mat = materialize_population(source);
+    hash_floats(h, mat.dataset->features().data());
+    for (const auto label : mat.dataset->labels())
+      fnv1a(h, static_cast<std::uint64_t>(label));
+    runtime::Rng set_rng(41);
+    const DataSet set = make_synthetic(c.spec, 101, set_rng);
+    hash_floats(h, set.features().data());
+    for (const auto label : set.labels())
+      fnv1a(h, static_cast<std::uint64_t>(label));
+    fnv1a(h, set_rng.next_u64());
+    EXPECT_EQ(h, c.hash) << c.name << ": 0x" << std::hex << h;
   }
 }
 

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -260,6 +262,33 @@ TEST(ProcBackend, WorkerKilledAtSpawnIsADiagnosableError) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("sweep worker"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ProcBackend, WorkerDeadBeforeFirstCellIsNamedInTheError) {
+  // The worker is reaped-dead (a zombie, still waitable) before dispatch,
+  // so the first cell's write always fails with EPIPE; the error must name
+  // the worker and its signal, not just the broken pipe.
+  const std::vector<core::SweepCell> cells = tiny_cells();
+  core::SweepOptions opts;
+  opts.backend = core::SweepBackend::kProcess;
+  opts.workers = 1;
+  opts.on_worker_spawn = [](int pid) {
+    kill(pid, SIGKILL);
+    siginfo_t info{};
+    ASSERT_EQ(waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT),
+              0);
+  };
+  try {
+    (void)core::run_sweep(cells, opts);
+    FAIL() << "expected a worker-death error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep worker pid "), std::string::npos) << what;
+    EXPECT_NE(what.find("killed by signal " + std::to_string(SIGKILL)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(cells.front().label), std::string::npos) << what;
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -106,6 +109,76 @@ TEST(Rng, NormalWithParams) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += rng.normal(10.0, 2.0);
   EXPECT_NEAR(sum / n, 10.0, 0.05);
+}
+
+TEST(Rng, NormalsIntoMatchesNormalBitwise) {
+  for (const bool pending : {false, true}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 129u, 1000u}) {
+      Rng scalar(700 + n), batched(700 + n);
+      if (pending) {  // leaves the pair's sine cached in both
+        EXPECT_EQ(scalar.normal(), batched.normal());
+      }
+      std::vector<double> expected(n), got(n, -1.0);
+      for (auto& v : expected) v = scalar.normal();
+      batched.normals_into(got);
+      EXPECT_EQ(std::memcmp(expected.data(), got.data(), n * sizeof(double)),
+                0)
+          << "n " << n << " pending " << pending;
+      // Same cached value (or none) and the same stream position after.
+      const double next_scalar = scalar.normal();
+      const double next_batched = batched.normal();
+      EXPECT_EQ(std::memcmp(&next_scalar, &next_batched, sizeof(double)), 0)
+          << "n " << n << " pending " << pending;
+      EXPECT_EQ(scalar.next_u64(), batched.next_u64())
+          << "n " << n << " pending " << pending;
+    }
+  }
+}
+
+/// Distance in units in the last place, counted across zero.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto key = [](double x) {
+    const auto bits = std::bit_cast<std::int64_t>(x);
+    return bits < 0 ? -(bits & INT64_MAX) : bits;
+  };
+  const std::int64_t ka = key(a), kb = key(b);
+  return static_cast<std::uint64_t>(ka > kb ? ka - kb : kb - ka);
+}
+
+TEST(Rng, BoxMullerKernelWithinFourUlpOfLibm) {
+  std::uint64_t worst_log = 0, worst_sin = 0, worst_cos = 0;
+  const auto check_log = [&](double u1) {
+    worst_log = std::max(worst_log, ulp_distance(box_muller_log(u1),
+                                                 std::log(u1)));
+  };
+  const auto check_angle = [&](double u2) {
+    const double theta = 2.0 * M_PI * u2;  // as normal() forms it
+    double s = 0.0, c = 0.0;
+    box_muller_sincos(theta, s, c);
+    worst_sin = std::max(worst_sin, ulp_distance(s, std::sin(theta)));
+    worst_cos = std::max(worst_cos, ulp_distance(c, std::cos(theta)));
+  };
+  Rng rng(61);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half the u1 scaled down toward 2^-53, so the tail is covered too.
+    double u1 = rng.next_double();
+    if (i % 2 == 1) u1 = std::ldexp(u1, -static_cast<int>(rng.next_below(53)));
+    check_log(std::max(u1, 0x1p-53));
+    check_angle(rng.next_double());
+  }
+  for (const double u1 : {0x1p-53, 0.5, 1.0 - 0x1p-53}) check_log(u1);
+  // theta at and next to multiples of pi/2, where the reduction cancels
+  // and takes its second and third passes.
+  for (const double u2 : {0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 0x1p-53}) {
+    check_angle(u2);
+    for (int step = 1; step <= 1000; ++step) {
+      if (u2 + step * 0x1p-53 < 1.0) check_angle(u2 + step * 0x1p-53);
+      if (u2 >= step * 0x1p-53) check_angle(u2 - step * 0x1p-53);
+    }
+  }
+  EXPECT_LE(worst_log, 4u);
+  EXPECT_LE(worst_sin, 4u);
+  EXPECT_LE(worst_cos, 4u);
 }
 
 class GammaShapeTest : public ::testing::TestWithParam<double> {};
