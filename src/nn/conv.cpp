@@ -70,6 +70,15 @@ const Tensor& Conv2d::forward(const Tensor& input, bool train) {
 }
 
 const Tensor& Conv2d::backward(const Tensor& grad_out) {
+  backward_into(grad_out, /*input_grad=*/true);
+  return grad_in_;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backward_into(grad_out, /*input_grad=*/false);
+}
+
+void Conv2d::backward_into(const Tensor& grad_out, bool input_grad) {
   GF_CHECK(cached_input_.size() != 0,
            "Conv2d::backward without forward(train=true)");
   const Tensor& x = cached_input_;
@@ -107,6 +116,7 @@ const Tensor& Conv2d::backward(const Tensor& grad_out) {
   detail::im2col(x.raw(), n, cin_, h, w, k_, pad_, cols.data());
   detail::gemm_acc(cout_, kdim, ncols, {dy.data(), ncols, 1},
                    {cols.data(), 1, ncols}, grad_w_.raw(), sp_);
+  if (!input_grad) return;
 
   // dX = col2im(Wᵀ · dY). col2im accumulates, so the reused buffer must be
   // zeroed first (a fresh Tensor used to provide the zeros implicitly).
@@ -116,7 +126,6 @@ const Tensor& Conv2d::backward(const Tensor& grad_out) {
   grad_in_.resize4(n, cin_, h, w);
   grad_in_.zero();
   detail::col2im(gcols.data(), n, cin_, h, w, k_, pad_, grad_in_.raw());
-  return grad_in_;
 }
 
 void Conv2d::for_each_param(

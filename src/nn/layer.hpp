@@ -34,6 +34,15 @@ class Layer {
   /// forward(train=true).
   virtual const Tensor& backward(const Tensor& grad_out) = 0;
 
+  /// backward() for a caller that discards dL/d(input): accumulates the
+  /// same parameter gradients, bit for bit, and returns nothing.
+  /// Model::backward calls it on layer 0, whose input gradient nothing
+  /// reads. Linear and Conv2d skip their input-gradient GEMM (and col2im);
+  /// the default runs backward() and drops its result.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Visits every (parameter, gradient) tensor pair. Parameter-free layers
   /// keep the default no-op.
   virtual void for_each_param(
@@ -75,6 +84,7 @@ class Linear final : public Layer {
 
   const Tensor& forward(const Tensor& input, bool train) override;
   const Tensor& backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void for_each_param(
       util::FunctionRef<void(Tensor&, Tensor&)> fn) override;
   void for_each_param(util::FunctionRef<void(const Tensor&, const Tensor&)> fn) const override;
@@ -95,9 +105,14 @@ class Linear final : public Layer {
   Tensor grad_w_, grad_b_;
   Tensor cached_input_;
   Tensor out_buf_, grad_in_;
+
+  /// dW and db from grad_out; then dX into grad_in_ if `input_grad`.
+  void backward_into(const Tensor& grad_out, bool input_grad);
 };
 
-/// Elementwise max(x, 0).
+/// Elementwise max(x, 0). forward() caches nothing: backward() masks the
+/// gradient against the layer's own output, which stays in out_buf_ until
+/// the next forward().
 class ReLU final : public Layer {
  public:
   const Tensor& forward(const Tensor& input, bool train) override;
@@ -106,7 +121,6 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
   Tensor out_buf_, grad_in_;
 };
 
@@ -138,6 +152,7 @@ class Conv2d final : public Layer {
 
   const Tensor& forward(const Tensor& input, bool train) override;
   const Tensor& backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void for_each_param(
       util::FunctionRef<void(Tensor&, Tensor&)> fn) override;
   void for_each_param(util::FunctionRef<void(const Tensor&, const Tensor&)> fn) const override;
@@ -155,6 +170,9 @@ class Conv2d final : public Layer {
   Tensor grad_w_, grad_b_;
   Tensor cached_input_;
   Tensor out_buf_, grad_in_;
+
+  /// dW and db from grad_out; then dX into grad_in_ if `input_grad`.
+  void backward_into(const Tensor& grad_out, bool input_grad);
 };
 
 // ---- Naive convolution oracles (conv.cpp) ----

@@ -36,6 +36,15 @@ const Tensor& Linear::forward(const Tensor& input, bool train) {
 }
 
 const Tensor& Linear::backward(const Tensor& grad_out) {
+  backward_into(grad_out, /*input_grad=*/true);
+  return grad_in_;
+}
+
+void Linear::backward_params(const Tensor& grad_out) {
+  backward_into(grad_out, /*input_grad=*/false);
+}
+
+void Linear::backward_into(const Tensor& grad_out, bool input_grad) {
   const std::size_t n = grad_out.dim(0);
   GF_CHECK(cached_input_.size() != 0,
            "Linear::backward without forward(train=true)");
@@ -51,9 +60,9 @@ const Tensor& Linear::backward(const Tensor& grad_out) {
     const float* grow = go + i * out_;
     for (std::size_t j = 0; j < out_; ++j) gb[j] += grow[j];
   }
+  if (!input_grad) return;
   grad_in_.resize2(n, in_);
   matmul_bt(grad_out, weight_, grad_in_, sp_);
-  return grad_in_;
 }
 
 void Linear::for_each_param(
@@ -81,20 +90,27 @@ std::unique_ptr<Layer> Linear::clone() const {
 // ---------------- ReLU ----------------
 
 const Tensor& ReLU::forward(const Tensor& input, bool train) {
-  out_buf_ = input;
-  for (auto& v : out_buf_.data()) v = v > 0.0f ? v : 0.0f;
-  if (train) cached_input_ = input;
+  (void)train;
+  out_buf_.resize(input.shape());
+  const float* x = input.raw();
+  float* y = out_buf_.raw();
+  for (std::size_t i = 0; i < input.size(); ++i)
+    y[i] = x[i] > 0.0f ? x[i] : 0.0f;
   return out_buf_;
 }
 
 const Tensor& ReLU::backward(const Tensor& grad_out) {
-  GF_CHECK_EQ(cached_input_.size(), grad_out.size(),
+  GF_CHECK_EQ(out_buf_.size(), grad_out.size(),
               "ReLU::backward shape mismatch");
-  grad_in_ = grad_out;
-  const auto xs = cached_input_.data();
-  auto gs = grad_in_.data();
-  for (std::size_t i = 0; i < gs.size(); ++i)
-    if (xs[i] <= 0.0f) gs[i] = 0.0f;
+  // y > 0 exactly where x > 0, so masking against the output passes the
+  // same gradients as masking against the input (a NaN input gives y = 0,
+  // and its gradient is masked like the forward value).
+  grad_in_.resize(grad_out.shape());
+  const float* y = out_buf_.raw();
+  const float* g = grad_out.raw();
+  float* gi = grad_in_.raw();
+  for (std::size_t i = 0; i < grad_out.size(); ++i)
+    gi[i] = y[i] > 0.0f ? g[i] : 0.0f;
   return grad_in_;
 }
 

@@ -24,9 +24,11 @@ const Tensor& Model::forward(const Tensor& input, bool train) {
 }
 
 void Model::backward(const Tensor& grad_out) {
+  if (layers_.empty()) return;
   const Tensor* g = &grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = &(*it)->backward(*g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    g = &layers_[i]->backward(*g);
+  layers_.front()->backward_params(*g);
 }
 
 void Model::zero_grad() {

@@ -33,7 +33,9 @@ class Model {
   /// model); it stays valid until this model's next forward()/backward().
   [[nodiscard]] const Tensor& forward(const Tensor& input, bool train = false);
 
-  /// Backward pass; call after forward(train=true). Accumulates gradients.
+  /// Backward pass; call after forward(train=true). Accumulates parameter
+  /// gradients. No input gradient is computed for layer 0: nothing reads
+  /// dL/d(input), so layer 0 runs Layer::backward_params.
   void backward(const Tensor& grad_out);
 
   /// Sets every gradient tensor to zero.

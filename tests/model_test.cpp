@@ -91,6 +91,61 @@ TEST(Model, GradientsAccumulateAcrossBackwards) {
     EXPECT_NEAR(twice[i], 2.0f * once[i], 1e-5f);
 }
 
+// Model::backward asks layer 0 for its parameter gradients only. Chaining
+// every layer's full backward() on clones of the same layers must give the
+// same parameter gradients, bit for bit, for a dense and two conv stacks
+// (CNN5 and ResNet3 start with a Conv2d, the MLP with a Linear).
+TEST(Model, BackwardSkipsOnlyLayerZeroInputGradient) {
+  struct Case {
+    const char* name;
+    Model model;
+    std::vector<std::size_t> input_shape;
+  };
+  Case cases[] = {{"mlp", make_mlp(12, 16, 5), {6, 12}},
+                  {"cnn5", make_cnn5(2, 8, 8, 5), {3, 2, 8, 8}},
+                  {"resnet3", make_resnet3(3, 8, 5, 4), {2, 3, 8, 8}}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    runtime::Rng rng(17);
+    c.model.init(rng);
+    Tensor x(c.input_shape);
+    for (auto& v : x.data()) v = static_cast<float>(rng.normal());
+    std::vector<std::int32_t> labels(x.dim(0));
+    for (std::size_t i = 0; i < labels.size(); ++i)
+      labels[i] = static_cast<std::int32_t>(i % 5);
+
+    std::vector<std::unique_ptr<Layer>> layers;
+    for (std::size_t i = 0; i < c.model.layer_count(); ++i)
+      layers.push_back(c.model.layer(i).clone());
+
+    c.model.zero_grad();
+    const LossResult loss =
+        softmax_cross_entropy(c.model.forward(x, true), labels);
+    c.model.backward(loss.grad);
+    const std::vector<float> got = c.model.flat_gradients();
+
+    const Tensor* h = &x;
+    for (auto& l : layers) h = &l->forward(*h, true);
+    const LossResult chained_loss = softmax_cross_entropy(*h, labels);
+    const Tensor* g = &chained_loss.grad;
+    for (auto it = layers.rbegin(); it != layers.rend(); ++it)
+      g = &(*it)->backward(*g);
+    std::vector<float> want;
+    for (auto& l : layers)
+      l->for_each_param([&](Tensor&, Tensor& grad) {
+        want.insert(want.end(), grad.data().begin(), grad.data().end());
+      });
+
+    ASSERT_EQ(got.size(), want.size());
+    bool any_nonzero = false;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "gradient " << i;
+      any_nonzero |= got[i] != 0.0f;
+    }
+    EXPECT_TRUE(any_nonzero);
+  }
+}
+
 TEST(Sgd, StepReducesLoss) {
   runtime::Rng rng(7);
   Model m = small_mlp(rng);

@@ -12,6 +12,7 @@
 #include "core/cloud.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
+#include "nn/serialize.hpp"
 #include "runtime/replica_cache.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
@@ -352,6 +353,69 @@ TEST(TrainerDeterminism, ParallelSecAggMaskingWithDropoutAcrossPools) {
   cfg.client_dropout_rate = 0.2;
   cfg.precision.wire = compression::Codec::kFp16;
   expect_pool_invariant(exp, cfg);
+}
+
+// Trained weights, pinned: FNV-1a over the final_params bits. The MLP cases
+// put local SGD on both sides of the GEMM dispatch's skinny-row cut (batch 8
+// and 32 rows) at two widths; the CNN5 case covers the conv im2col path.
+// Every case must give the same bits with an inline pool and with two
+// workers. A kernel change that moves trained low bits is a re-baseline:
+// update the values here and say so. A build whose kernels contract a*b + c
+// into FMAs rounds differently from one without, so each pins its own
+// column (this TU is compiled with the kernels' native ISA).
+TEST(PinnedHashes, TrainedParams) {
+  struct Case {
+    ModelKind model;
+    std::size_t batch, hidden;
+    std::uint64_t fma_hash, portable_hash;
+  };
+  const Case cases[] = {
+      {ModelKind::kMlp, 8, 32, 0x6f90e511e9e05aceull,
+       0x9c57b4198f241080ull},
+      {ModelKind::kMlp, 8, 64, 0xf6e9f38b4bb9b57bull,
+       0x129beecd6f9a607eull},
+      {ModelKind::kMlp, 32, 32, 0x1d60fe46dcc9b0c1ull,
+       0x6c733140d2a3f762ull},
+      {ModelKind::kMlp, 32, 64, 0xdd438b00b994b60eull,
+       0xaedbe86a5768f15bull},
+      {ModelKind::kCnn5, 8, 0, 0x75d89d97fd7c01ceull,
+       0x808649994d872efbull}};
+  for (const Case& c : cases) {
+    ExperimentSpec spec = tiny_spec();
+    GroupFelConfig cfg = tiny_cfg();
+    cfg.local.batch_size = c.batch;
+    if (c.model == ModelKind::kMlp) {
+      spec.mlp_hidden = c.hidden;
+    } else {
+      spec.task = cost::Task::kSpeechCommands;
+      spec.model = c.model;
+      spec.num_clients = 8;
+      spec.size_mean = 12;
+      spec.size_std = 2;
+      spec.size_min = 8;
+      spec.size_max = 16;
+      spec.test_size = 60;
+      cfg.global_rounds = 2;
+      cfg.group_rounds = 1;
+      cfg.sampled_groups = 2;
+      cfg.local.lr = 0.05f;
+      cfg.grouping_params.min_group_size = 3;
+    }
+#ifdef __FMA__
+    const std::uint64_t want = c.fma_hash;
+#else
+    const std::uint64_t want = c.portable_hash;
+#endif
+    const Experiment exp = build_experiment(spec);
+    for (const std::size_t threads : {0, 2}) {
+      const std::vector<float> params =
+          run_with_pool(exp, cfg, threads).final_params;
+      const std::uint64_t h = nn::fnv1a(std::as_bytes(std::span(params)));
+      EXPECT_EQ(h, want) << "model " << static_cast<int>(c.model) << " batch "
+                         << c.batch << " hidden " << c.hidden << " pool "
+                         << threads << ": 0x" << std::hex << h;
+    }
+  }
 }
 
 TEST(TrainerDeterminism, SteadyStateAddsNoModelConstructions) {
