@@ -17,8 +17,9 @@
 //
 // GEMM shapes are the paper-relevant ones: the 256³ reference point, the
 // MLP surrogate's forward/backward (eval batch 256, feature 32, hidden 64),
-// and the im2col'd first layers of ResNet3 (CIFAR task) and CNN5 (Speech
-// Commands task) at batch 32.
+// the dense-backward dX shapes of the three perfbench workloads, and the
+// im2col'd first layers of ResNet3 (CIFAR task) and CNN5 (Speech Commands
+// task) at batch 32.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -447,6 +448,13 @@ int main(int argc, char** argv) {
   // feature width (32 → hidden 64).
   reports.push_back(bench_gemm("gemm_mlp_train", 0, 8, 32, 64, 51));
   reports.push_back(bench_gemm("gemm_mlp_eval", 0, 256, 32, 64, 51));
+  // Dense-backward dX = dY·Wᵀ at the training shapes (m = batch, k = layer
+  // outputs, n = layer inputs): a round_mlp hidden layer, the fleet_1m
+  // last layer (batch 32, 10 classes, hidden 32) and the round_secure last
+  // layer (35 classes, hidden 64).
+  reports.push_back(bench_gemm("gemm_bt_dx", 1, 8, 64, 64, 51));
+  reports.push_back(bench_gemm("gemm_bt_dx", 1, 32, 10, 32, 51));
+  reports.push_back(bench_gemm("gemm_bt_dx", 1, 8, 35, 64, 51));
   // im2col'd conv layers at batch 32: ResNet3 layer 1 (CIFAR 3×16×16,
   // cout 8) and CNN5 layer 2 (post-pool 8×16×8, cout 16).
   reports.push_back(bench_gemm("gemm_resnet3_l1", 0, 8, 27, 32 * 16 * 16, 21));

@@ -52,6 +52,10 @@ typedef float v16f __attribute__((vector_size(NR * sizeof(float))));
 // Unaligned, aliasing-safe view used for all loads/stores through float*.
 typedef float v16f_u __attribute__((vector_size(NR * sizeof(float)),
                                     aligned(alignof(float)), may_alias));
+// 8×8 transpose tiles (transpose_pad).
+typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+typedef float v8f_u __attribute__((vector_size(8 * sizeof(float)),
+                                   aligned(alignof(float)), may_alias));
 static_assert(MR == 6, "kernels below spell out one accumulator per row");
 #endif
 
@@ -210,16 +214,16 @@ constexpr std::size_t kSkinnyRows = 2 * MR;
 constexpr std::size_t kSkinnyFlops = 128 * 1024;
 
 /// One tile of up to MT ≤ 4 C rows across the full width n. B must be
-/// row-contiguous (b.cs == 1); A may be strided. MT is a template parameter
-/// so the accumulator array has constant bounds and stays in registers.
-/// `tail` is a k×NR zero-padded copy of B's last n%NR columns (nullptr when
-/// NR divides n): the ragged edge computes vectorized instead of one scalar
-/// column at a time.
+/// row-contiguous; A may be strided. MT is a template parameter so the
+/// accumulator array has constant bounds and stays in registers. `tail`
+/// (row stride `trs`) holds B's last n%NR columns zero-padded to NR lanes
+/// (nullptr when NR divides n): the ragged edge computes vectorized instead
+/// of one scalar column at a time.
 template <std::size_t MT>
 void skinny_tile(std::size_t n, std::size_t k, const float* __restrict arow,
                  std::size_t ars, std::size_t acs, const float* __restrict bp,
                  std::size_t brs, const float* __restrict tail,
-                 float* __restrict c) {
+                 std::size_t trs, float* __restrict c) {
   std::size_t j = 0;
   for (; j + 4 * NR <= n; j += 4 * NR) {
     v16f acc[MT][4] = {};
@@ -255,7 +259,7 @@ void skinny_tile(std::size_t n, std::size_t k, const float* __restrict arow,
     const std::size_t nt = n - j;
     v16f acc[MT] = {};
     for (std::size_t p = 0; p < k; ++p) {
-      const v16f bv = *reinterpret_cast<const v16f_u*>(tail + p * NR);
+      const v16f bv = *reinterpret_cast<const v16f_u*>(tail + p * trs);
       for (std::size_t i = 0; i < MT; ++i)
         acc[i] += arow[i * ars + p * acs] * bv;
     }
@@ -266,6 +270,31 @@ void skinny_tile(std::size_t n, std::size_t k, const float* __restrict arow,
   }
 }
 
+/// Every C row tile of the skinny kernel over row-contiguous B (b.cs == 1)
+/// and its staged ragged tail.
+void skinny_rows(std::size_t m, std::size_t n, std::size_t k, MatView a,
+                 MatView b, const float* tail, std::size_t trs, float* c) {
+  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
+    const float* arow = a.p + i0 * a.rs;
+    float* crow = c + i0 * n;
+    switch (std::min<std::size_t>(4, m - i0)) {
+      case 4:
+        skinny_tile<4>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, trs, crow);
+        break;
+      case 3:
+        skinny_tile<3>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, trs, crow);
+        break;
+      case 2:
+        skinny_tile<2>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, trs, crow);
+        break;
+      default:
+        skinny_tile<1>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, trs, crow);
+        break;
+    }
+  }
+}
+
+/// Skinny A·B over row-contiguous B (b.cs == 1).
 void gemm_skinny(std::size_t m, std::size_t n, std::size_t k, MatView a,
                  MatView b, float* c) {
   // Stage the ragged last columns once; every row tile then runs fully
@@ -284,121 +313,20 @@ void gemm_skinny(std::size_t m, std::size_t n, std::size_t k, MatView a,
     }
     tail = tail_buf.data();
   }
-  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
-    const float* arow = a.p + i0 * a.rs;
-    float* crow = c + i0 * n;
-    switch (std::min<std::size_t>(4, m - i0)) {
-      case 4:
-        skinny_tile<4>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, crow);
-        break;
-      case 3:
-        skinny_tile<3>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, crow);
-        break;
-      case 2:
-        skinny_tile<2>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, crow);
-        break;
-      default:
-        skinny_tile<1>(n, k, arow, a.rs, a.cs, b.p, b.rs, tail, crow);
-        break;
-    }
-  }
+  skinny_rows(m, n, k, a, b, tail, NR, c);
 }
 
-/// Sum of the NR lanes at `lanes`, in lane order. Callers pass a local copy
-/// of the accumulator: a vector parameter would change the ABI without
-/// AVX-512 (-Wpsabi), and the accumulator's own address would keep GCC from
-/// holding the accumulators in registers.
-inline float hsum(const float* lanes) {
-  float s = 0.0f;
-  for (std::size_t l = 0; l < NR; ++l) s += lanes[l];
-  return s;
-}
-
-/// A·Bᵀ shapes (a.cs == 1, b.rs == 1): both operands are contiguous along k,
-/// so every C element is a dense dot product. The generic strided fallbacks
-/// read B with stride k here — a gather per element — while this kernel
-/// streams both rows vectorized and reduces at the end. j is tiled by 4 so
-/// each A-row load feeds four accumulators.
-constexpr std::size_t kDotFlops = 128 * 1024;
-
-/// IT C rows × 4 C columns of dot products per pass: 8 vector loads feed 16
-/// FMAs, double the arithmetic intensity of a single-row sweep.
-template <std::size_t IT>
-void dot_tile(std::size_t n, std::size_t k, const float* __restrict a0,
-              std::size_t ars, const float* __restrict bbase, std::size_t bcs,
-              float* __restrict c, std::size_t ldc) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float* __restrict b0 = bbase + j * bcs;
-    const float* __restrict b1 = bbase + (j + 1) * bcs;
-    const float* __restrict b2 = bbase + (j + 2) * bcs;
-    const float* __restrict b3 = bbase + (j + 3) * bcs;
-    v16f acc[IT][4] = {};
-    std::size_t p = 0;
-    for (; p + NR <= k; p += NR) {
-      v16f bv[4];
-      bv[0] = *reinterpret_cast<const v16f_u*>(b0 + p);
-      bv[1] = *reinterpret_cast<const v16f_u*>(b1 + p);
-      bv[2] = *reinterpret_cast<const v16f_u*>(b2 + p);
-      bv[3] = *reinterpret_cast<const v16f_u*>(b3 + p);
-      for (std::size_t i = 0; i < IT; ++i) {
-        const v16f av = *reinterpret_cast<const v16f_u*>(a0 + i * ars + p);
-        for (std::size_t q = 0; q < 4; ++q) acc[i][q] += av * bv[q];
-      }
-    }
-    float s[IT][4];
-    for (std::size_t i = 0; i < IT; ++i)
-      for (std::size_t q = 0; q < 4; ++q) {
-        const v16f v = acc[i][q];
-        s[i][q] = hsum(reinterpret_cast<const float*>(&v));
-      }
-    for (; p < k; ++p) {
-      const float b0v = b0[p], b1v = b1[p], b2v = b2[p], b3v = b3[p];
-      for (std::size_t i = 0; i < IT; ++i) {
-        const float av = a0[i * ars + p];
-        s[i][0] += av * b0v;
-        s[i][1] += av * b1v;
-        s[i][2] += av * b2v;
-        s[i][3] += av * b3v;
-      }
-    }
-    for (std::size_t i = 0; i < IT; ++i)
-      for (std::size_t q = 0; q < 4; ++q) c[i * ldc + j + q] += s[i][q];
-  }
-  for (; j < n; ++j) {
-    const float* __restrict bj = bbase + j * bcs;
-    v16f acc[IT] = {};
-    std::size_t p = 0;
-    for (; p + NR <= k; p += NR) {
-      const v16f bv = *reinterpret_cast<const v16f_u*>(bj + p);
-      for (std::size_t i = 0; i < IT; ++i)
-        acc[i] += *reinterpret_cast<const v16f_u*>(a0 + i * ars + p) * bv;
-    }
-    float s[IT];
-    for (std::size_t i = 0; i < IT; ++i) {
-      const v16f v = acc[i];
-      s[i] = hsum(reinterpret_cast<const float*>(&v));
-    }
-    for (; p < k; ++p) {
-      const float bjv = bj[p];
-      for (std::size_t i = 0; i < IT; ++i) s[i] += a0[i * ars + p] * bjv;
-    }
-    for (std::size_t i = 0; i < IT; ++i) c[i * ldc + j] += s[i];
-  }
-}
-
-void gemm_dot(std::size_t m, std::size_t n, std::size_t k, MatView a,
-              MatView b, float* __restrict c) {
-  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
-    const float* a0 = a.p + i0 * a.rs;
-    float* crow = c + i0 * n;
-    switch (std::min<std::size_t>(4, m - i0)) {
-      case 4: dot_tile<4>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      case 3: dot_tile<3>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      case 2: dot_tile<2>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      default: dot_tile<1>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-    }
-  }
+/// Skinny A·Bᵀ (b.rs == 1: B's columns are contiguous, the dX shape of
+/// dense backward). Bᵀ is staged once into a row-major k×ldp panel, ldp
+/// padded to an NR multiple with zero columns, so the skinny kernel runs on
+/// it as on any row-contiguous B and reads its ragged tail in place.
+void gemm_skinny_bt(std::size_t m, std::size_t n, std::size_t k, MatView a,
+                    MatView b, float* c) {
+  const std::size_t ldp = ceil_div(n, NR) * NR;
+  auto panel = runtime::WorkspaceArena::local().acquire(k * ldp);
+  transpose_pad(b.p, n, k, b.cs, panel.data(), ldp);
+  const float* tail = n % NR != 0 ? panel.data() + (n - n % NR) : nullptr;
+  skinny_rows(m, n, k, a, {panel.data(), ldp, 1}, tail, ldp, c);
 }
 
 #endif  // GROUPFEL_GEMM_VECTOR_EXT
@@ -438,8 +366,8 @@ void gemm_impl_fp32(std::size_t m, std::size_t n, std::size_t k, MatView a,
     gemm_skinny(m, n, k, a, b, c);
     return;
   }
-  if (a.cs == 1 && b.rs == 1 && m * n * k <= kDotFlops) {
-    gemm_dot(m, n, k, a, b, c);
+  if (a.cs == 1 && b.rs == 1 && m * n * k <= kSkinnyFlops) {
+    gemm_skinny_bt(m, n, k, a, b, c);
     return;
   }
 #endif
@@ -846,7 +774,7 @@ void gemm_blocked_amx(std::size_t m, std::size_t n, std::size_t k, MatView a,
 #endif  // GROUPFEL_GEMM_AMX
 
 /// bf16-storage dispatch. Shapes the fp32 dispatch keeps out of the blocked
-/// path (register-tiled skinny/dot/small fast paths) compute on
+/// path (register-tiled skinny and small fast paths) compute on
 /// storage-rounded operand copies instead — identical value semantics, and
 /// the copies are tiny exactly where those paths apply.
 void gemm_impl_bf16(std::size_t m, std::size_t n, std::size_t k, MatView a,
@@ -888,6 +816,54 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, MatView a, MatView b,
 void gemm_acc(std::size_t m, std::size_t n, std::size_t k, MatView a,
               MatView b, float* c, StoragePrecision sp) {
   gemm_impl(m, n, k, a, b, c, sp);
+}
+
+void transpose_pad(const float* __restrict src, std::size_t rows,
+                   std::size_t cols, std::size_t lds, float* __restrict dst,
+                   std::size_t ldd) {
+#ifdef GROUPFEL_GEMM_VECTOR_EXT
+  // 8×8 tiles in registers: eight row loads, three rounds of two-input
+  // shuffles (interleave row pairs, then pairs of pairs, then halves),
+  // eight column stores.
+  const std::size_t rb = rows - rows % 8, cb = cols - cols % 8;
+  for (std::size_t r0 = 0; r0 < rb; r0 += 8)
+    for (std::size_t c0 = 0; c0 < cb; c0 += 8) {
+      v8f r[8], s[8], t[8];
+      for (std::size_t i = 0; i < 8; ++i)
+        r[i] = *reinterpret_cast<const v8f_u*>(src + (r0 + i) * lds + c0);
+      for (std::size_t i = 0; i < 8; i += 2) {
+        s[i] = __builtin_shufflevector(r[i], r[i + 1], 0, 8, 2, 10, 4, 12, 6,
+                                       14);
+        s[i + 1] = __builtin_shufflevector(r[i], r[i + 1], 1, 9, 3, 11, 5,
+                                           13, 7, 15);
+      }
+      for (std::size_t i = 0; i < 8; i += 4)
+        for (std::size_t q = 0; q < 2; ++q) {
+          t[i + q] = __builtin_shufflevector(s[i + q], s[i + q + 2], 0, 1, 8,
+                                             9, 4, 5, 12, 13);
+          t[i + q + 2] = __builtin_shufflevector(s[i + q], s[i + q + 2], 2,
+                                                 3, 10, 11, 6, 7, 14, 15);
+        }
+      for (std::size_t q = 0; q < 4; ++q) {
+        *reinterpret_cast<v8f_u*>(dst + (c0 + q) * ldd + r0) =
+            __builtin_shufflevector(t[q], t[q + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+        *reinterpret_cast<v8f_u*>(dst + (c0 + q + 4) * ldd + r0) =
+            __builtin_shufflevector(t[q], t[q + 4], 4, 5, 6, 7, 12, 13, 14,
+                                    15);
+      }
+    }
+#else
+  const std::size_t rb = 0, cb = 0;
+#endif
+  // Ragged right columns of the tiled rows, then the ragged bottom rows.
+  for (std::size_t r = 0; r < rb; ++r)
+    for (std::size_t c = cb; c < cols; ++c)
+      dst[c * ldd + r] = src[r * lds + c];
+  for (std::size_t r = rb; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      dst[c * ldd + r] = src[r * lds + c];
+  for (std::size_t c = 0; c < cols; ++c)
+    std::fill(dst + c * ldd + rows, dst + (c + 1) * ldd, 0.0f);
 }
 
 }  // namespace groupfel::nn::detail

@@ -14,6 +14,17 @@
 // runtime::ThreadPool for large shapes; each panel's accumulation order is
 // fixed, so results are bit-identical for any pool size.
 //
+// fp32 dispatch, by shape (the training GEMMs are small):
+//   - row-contiguous B (b.cs == 1) with m ≤ 12 or m·n·k ≤ 128K: the skinny
+//     kernel keeps up to 4 C rows × n in registers and broadcast-FMAs A
+//     elements against streamed B rows (forward and Aᵀ·B weight gradients);
+//   - A·Bᵀ (a.cs == 1, b.rs == 1) with m·n·k ≤ 128K, the dX = dY·Wᵀ shape of
+//     dense backward: B is staged once into a row-major panel by an 8×8
+//     register-blocked transpose (transpose_pad), padded to a 16-column
+//     multiple, and runs on the same skinny kernel;
+//   - other shapes under 16K multiply-adds: a plain strided loop;
+//   - everything else: the blocked, packed path above.
+//
 // Mixed precision: gemm/gemm_acc take a StoragePrecision selector. For bf16
 // the pack step rounds each operand element once (RNE, via util/half.hpp)
 // and stores it half-width, so the blocked micro-kernel streams half the
@@ -51,5 +62,12 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, MatView a, MatView b,
 void gemm_acc(std::size_t m, std::size_t n, std::size_t k, MatView a,
               MatView b, float* c,
               StoragePrecision sp = StoragePrecision::kFp32);
+
+/// dst[c·ldd + r] = src[r·lds + c] for the rows×cols matrix at src, and
+/// zero for rows ≤ r < ldd, so each of the cols rows of dst is ldd wide.
+/// Register-blocked in 8×8 tiles where GNU vector extensions are available.
+/// Stages Bᵀ for the A·Bᵀ dispatch; exported for its test.
+void transpose_pad(const float* src, std::size_t rows, std::size_t cols,
+                   std::size_t lds, float* dst, std::size_t ldd);
 
 }  // namespace groupfel::nn::detail

@@ -2,15 +2,18 @@
 //
 // matmul / matmul_bt / matmul_at must agree with the naive triple-loop
 // oracles to 1e-4 relative across shapes chosen to hit every dispatch path:
-// the small-product fallback, the skinny-row streaming path, full packed
-// tiles, and ragged edges of every cache block (MR/NR register tiles and
-// MC/KC/NC panels). A randomized sweep backstops the hand-picked shapes.
+// the small-product fallback, the skinny-row streaming path (with B
+// row-contiguous or staged from Bᵀ), full packed tiles, and ragged edges of
+// every cache block (MR/NR register tiles and MC/KC/NC panels). A randomized
+// sweep backstops the hand-picked shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
+#include "nn/gemm.hpp"
 #include "nn/tensor.hpp"
 #include "runtime/rng.hpp"
 
@@ -96,6 +99,44 @@ TEST(GemmEquivalence, RandomizedShapeSweep) {
     const std::size_t n = 1 + rng.next_below(260);
     check_all_variants(m, k, n, rng);
   }
+}
+
+// A·Bᵀ shapes up to 128K multiply-adds stage Bᵀ into a padded row-major
+// panel and run the skinny kernel: sweep m across the 4-row tiles and the
+// 12-row cut, k across the 8×8 transpose tiles and n across the 16-lane
+// ragged tail.
+TEST(GemmEquivalence, StagedTransposedBMatchesNaive) {
+  runtime::Rng rng(18);
+  for (const std::size_t m : {1, 8, 12, 13, 32})
+    for (const std::size_t k : {1, 7, 8, 9, 10, 15, 16, 17, 35, 64})
+      for (const std::size_t n : {1, 7, 8, 9, 16, 17, 40, 64}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " k=" << k << " n=" << n);
+        const Tensor a = random_matrix(m, k, rng);
+        const Tensor b = random_matrix(n, k, rng);
+        Tensor got({m, n}), want({m, n});
+        matmul_bt(a, b, got);
+        matmul_bt_naive(a, b, want);
+        expect_close(got, want, "matmul_bt");
+      }
+}
+
+TEST(TransposePad, MatchesScalarLoopOnRaggedSizes) {
+  runtime::Rng rng(19);
+  for (const std::size_t rows : {1, 7, 8, 9, 16, 17, 40})
+    for (const std::size_t cols : {1, 3, 8, 10, 16, 23})
+      for (const std::size_t pad : {0, 1, 9}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows=" << rows << " cols=" << cols << " pad=" << pad);
+        const std::size_t lds = cols + 3, ldd = rows + pad;
+        const Tensor src = random_matrix(rows, lds, rng);
+        std::vector<float> got(cols * ldd, -1.0f);
+        detail::transpose_pad(src.raw(), rows, cols, lds, got.data(), ldd);
+        for (std::size_t c = 0; c < cols; ++c)
+          for (std::size_t r = 0; r < ldd; ++r)
+            ASSERT_EQ(got[c * ldd + r], r < rows ? src[r * lds + c] : 0.0f)
+                << "c=" << c << " r=" << r;
+      }
 }
 
 TEST(GemmEquivalence, RepeatedCallsAreDeterministic) {

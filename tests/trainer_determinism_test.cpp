@@ -370,16 +370,16 @@ TEST(PinnedHashes, TrainedParams) {
     std::uint64_t fma_hash, portable_hash;
   };
   const Case cases[] = {
-      {ModelKind::kMlp, 8, 32, 0x6f90e511e9e05aceull,
-       0x9c57b4198f241080ull},
-      {ModelKind::kMlp, 8, 64, 0xf6e9f38b4bb9b57bull,
-       0x129beecd6f9a607eull},
-      {ModelKind::kMlp, 32, 32, 0x1d60fe46dcc9b0c1ull,
-       0x6c733140d2a3f762ull},
-      {ModelKind::kMlp, 32, 64, 0xdd438b00b994b60eull,
-       0xaedbe86a5768f15bull},
-      {ModelKind::kCnn5, 8, 0, 0x75d89d97fd7c01ceull,
-       0x808649994d872efbull}};
+      {ModelKind::kMlp, 8, 32, 0x5cb0f8b6f644dee5ull,
+       0xb98625da02fe6165ull},
+      {ModelKind::kMlp, 8, 64, 0x202588dfaaf2f51bull,
+       0xa23465b32f9dc7c8ull},
+      {ModelKind::kMlp, 32, 32, 0x19dcf7d24a376b96ull,
+       0x516f4d20a6557817ull},
+      {ModelKind::kMlp, 32, 64, 0x5d4e300804277280ull,
+       0xf81ae049f82c41e8ull},
+      {ModelKind::kCnn5, 8, 0, 0xa583ca5b04a790eeull,
+       0xc8215129544e5721ull}};
   for (const Case& c : cases) {
     ExperimentSpec spec = tiny_spec();
     GroupFelConfig cfg = tiny_cfg();
