@@ -369,6 +369,40 @@ TEST(PinnedHashes, CovGrouping) {
   }
 }
 
+TEST(PinnedHashes, KldgGrouping) {
+  struct Case {
+    std::size_t classes;
+    bool one_hot;
+    std::size_t window;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{10, false, 0, 0xe82b1e4407fb0a0dull},
+                        {10, false, 64, 0xbe87e807f3aeb2a9ull},
+                        {35, false, 0, 0x3899fae51abc060full},
+                        {35, false, 64, 0x5dd20237c9af1b6full},
+                        {10, true, 0, 0x69f369c4d48ca6cdull},
+                        {10, true, 64, 0x50b1d89c972dfc7bull}};
+  for (const Case& c : cases) {
+    runtime::Rng part_rng(37);
+    const data::LabelMatrix matrix =
+        c.one_hot ? one_hot_matrix(300, c.classes)
+                  : data::LabelMatrix::from_population(data::descriptor_partition(
+                        partition_spec(300), c.classes, part_rng));
+    grouping::GroupingParams params;
+    params.min_group_size = 6;
+    params.greedy_window = c.window;
+    params.parallel_windows = true;
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(43);
+      const std::uint64_t h =
+          grouping_hash(grouping::kldg_grouping(matrix, params, rng, pool));
+      EXPECT_EQ(h, c.hash) << "classes " << c.classes << " one-hot "
+                           << c.one_hot << " window " << c.window << ": 0x"
+                           << std::hex << h;
+    });
+  }
+}
+
 // ---- Production greedy vs the historical erase-based greedy ---------------
 //
 // Reference implementations: verbatim copies of the pre-tombstone greedy
