@@ -2,9 +2,9 @@
 // engine AND the parallel control plane. Builds descriptor-backed (kLazy)
 // federations at 1k / 10k / 100k / 1M clients and, per scale, measures
 //   - the four control-plane phases (descriptor partition, label matrix,
-//     grouping, Eq. 34 sampling + size histogram) twice: serial
-//     (no pool, classic windowed greedy) and parallel (multi-thread pool,
-//     parallel_windows streams) — the serial-vs-parallel A/B,
+//     grouping, Eq. 34 sampling + size histogram) twice: serial (no pool)
+//     and parallel (multi-thread pool, windows run concurrently) — the
+//     serial-vs-parallel A/B,
 //   - setup time (descriptor partition, no sample materialization),
 //   - grouping time (label matrix from population histograms + windowed
 //     CoV greedy per edge + streaming Eq. 34 probabilities),
@@ -132,6 +132,7 @@ core::GroupFelConfig scale_config() {
   cfg.grouping = grouping::GroupingMethod::kCov;
   cfg.grouping_params.min_group_size = 100;
   cfg.grouping_params.greedy_window = 256;
+  cfg.grouping_params.parallel_windows = true;
   cfg.sampling = sampling::SamplingMethod::kESRCov;
   cfg.eval_every = 1;
   cfg.seed = 42;
@@ -378,9 +379,9 @@ bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-/// Serial-vs-pooled bit-identity over the whole control plane, in both
-/// window modes. The pooled arm uses --threads when given (CI passes
-/// --threads=2), else the owned 4-thread pool.
+/// Serial-vs-pooled bit-identity over the whole control plane. The pooled
+/// arm uses --threads when given (CI passes --threads=2), else the owned
+/// 4-thread pool.
 int smoke_control_plane() {
   core::ExperimentSpec spec = scale_spec(3000);
   spec.num_edges = 3;
@@ -389,26 +390,17 @@ int smoke_control_plane() {
   cfg.grouping_params.greedy_window = 64;
 
   runtime::ThreadPool* pool = parallel_pool();
-  for (const bool parallel_windows : {false, true}) {
-    core::GroupFelConfig arm = cfg;
-    arm.grouping_params.parallel_windows = parallel_windows;
-    const ControlPlaneResult serial = run_control_plane(spec, arm, nullptr);
-    const ControlPlaneResult pooled = run_control_plane(spec, arm, pool);
-    const std::string mode =
-        parallel_windows ? "parallel_windows" : "classic windows";
-    if (!same_groups(serial.groups, pooled.groups))
-      return fail("control plane (" + mode +
-                  "): groups diverge serial vs pool=" +
-                  std::to_string(pool->size()));
-    if (!same_doubles(serial.probabilities, pooled.probabilities))
-      return fail("control plane (" + mode +
-                  "): Eq. 34 probabilities diverge serial vs pool");
-    if (serial.size_histogram != pooled.size_histogram)
-      return fail("control plane (" + mode +
-                  "): size histogram diverges serial vs pool");
-  }
+  const ControlPlaneResult serial = run_control_plane(spec, cfg, nullptr);
+  const ControlPlaneResult pooled = run_control_plane(spec, cfg, pool);
+  if (!same_groups(serial.groups, pooled.groups))
+    return fail("control plane: groups diverge serial vs pool=" +
+                std::to_string(pool->size()));
+  if (!same_doubles(serial.probabilities, pooled.probabilities))
+    return fail("control plane: Eq. 34 probabilities diverge serial vs pool");
+  if (serial.size_histogram != pooled.size_histogram)
+    return fail("control plane: size histogram diverges serial vs pool");
   std::cout << "scale_sim --smoke: control plane bit-identical serial vs "
-            << pool->size() << "-thread pool (both window modes)\n";
+            << pool->size() << "-thread pool\n";
   return 0;
 }
 
@@ -477,20 +469,10 @@ ScaleRow run_scale(std::size_t clients) {
   core::GroupFelConfig cfg = scale_config();
   runtime::ThreadPool* pool = parallel_pool();
 
-  // Control-plane A/B: serial arm (no pool, classic window chain) vs
-  // parallel arm (pool + per-window streams).
+  // Control-plane A/B: serial arm (no pool) vs parallel arm (pool).
   {
-    core::GroupFelConfig serial_cfg = cfg;
-    serial_cfg.grouping_params.parallel_windows = false;
-    const ControlPlaneResult serial =
-        run_control_plane(spec, serial_cfg, nullptr);
-    row.serial = serial.timings;
-
-    core::GroupFelConfig parallel_cfg = cfg;
-    parallel_cfg.grouping_params.parallel_windows = true;
-    const ControlPlaneResult parallel =
-        run_control_plane(spec, parallel_cfg, pool);
-    row.parallel = parallel.timings;
+    row.serial = run_control_plane(spec, cfg, nullptr).timings;
+    row.parallel = run_control_plane(spec, cfg, pool).timings;
     row.control_plane_speedup =
         row.parallel.combined() > 0.0
             ? row.serial.combined() / row.parallel.combined()
@@ -498,8 +480,7 @@ ScaleRow run_scale(std::size_t clients) {
   }
 
   // End-to-end arm: full experiment build + Algorithm 1 round on the pool,
-  // with the parallel-windows greedy (the fleet-scale configuration).
-  cfg.grouping_params.parallel_windows = true;
+  // with the windows run concurrently (the fleet-scale configuration).
   runtime::Timer setup_t;
   const core::Experiment exp = core::build_experiment(spec, pool);
   row.setup_seconds = setup_t.seconds();
@@ -613,9 +594,8 @@ void write_json(const std::vector<ScaleRow>& rows,
          "peak_rss_bytes is process-wide and cumulative across rows (rows "
          "run in ascending order). Gate: at >= 100k clients peak RSS must "
          "be < 10% of the naive projection. control_plane_serial runs the "
-         "four phases with no pool and the classic window chain; "
-         "control_plane_parallel uses the pool plus per-window RNG streams "
-         "(statistically equivalent grouping, quality-parity ctest-gated). "
+         "four phases with no pool; control_plane_parallel runs them on the "
+         "pool, greedy windows concurrently (bit-identical output). "
          "Gate: at 1M clients combined speedup >= 1.8x at 4 threads on "
          "hosts with >= 4 hardware threads.\"\n"
       << "}\n";

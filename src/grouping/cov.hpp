@@ -35,22 +35,21 @@ namespace groupfel::grouping {
 [[nodiscard]] double group_cov(const data::LabelMatrix& matrix,
                                std::span<const std::size_t> clients);
 
-/// Incremental CoV evaluation for greedy grouping: maintains the group's
-/// running label counts so "CoV if client c joined" is O(m) instead of
-/// O(|g| * m).
+/// Incremental CoV of a growing group: maintains the group's running label
+/// counts so "CoV if client c joined" is O(m) instead of O(|g| * m). The
+/// scalar reference for CoVG's label-major scan (greedy.cpp).
 class IncrementalCov {
  public:
   explicit IncrementalCov(std::size_t num_labels);
 
   void add(std::span<const std::size_t> client_counts);
-  void remove(std::span<const std::size_t> client_counts);
 
   /// CoV of the current group.
   [[nodiscard]] double value() const;
 
   /// CoV if `client_counts` were added (group unchanged). CoVG's
-  /// label-major candidate scan (cov_grouping.cpp) reproduces this
-  /// operation sequence lane by lane; this is its scalar reference.
+  /// label-major candidate scan (greedy.cpp) reproduces this operation
+  /// sequence lane by lane; this is its scalar reference.
   [[nodiscard]] double value_with(std::span<const std::size_t> client_counts) const;
 
   [[nodiscard]] std::size_t total() const noexcept { return total_; }

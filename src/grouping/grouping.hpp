@@ -28,30 +28,27 @@ struct GroupingParams {
   std::size_t num_clusters = 0;    ///< CDG: #clusters (0 = num_labels)
   double kld_threshold = 0.01;     ///< KLDG: target KLD to global dist
   /// Streaming/partitioned greedy (CoVG and KLDG): 0 runs the classic
-  /// whole-pool greedy, byte-identical to previous releases. A value w > 0
-  /// shuffles the pool once and runs the greedy inside consecutive windows
-  /// of w clients, cutting candidate scans from O(n^2 m) to O(n w m) so an
-  /// edge with 10^6 clients forms groups in seconds. Within a window the
-  /// algorithm is EXACTLY Algorithm 2; the paper's guarantees are local to
-  /// a group, so windowing trades only cross-window candidate choice.
+  /// whole-pool greedy on the caller's rng. A value w > 0 shuffles the pool
+  /// once and runs the greedy inside consecutive windows of w clients,
+  /// window i on rng.fork(i), cutting candidate scans from O(n^2 m) to
+  /// O(n w m) so an edge with 10^6 clients forms groups in seconds. Within
+  /// a window the algorithm is EXACTLY Algorithm 2; the paper's guarantees
+  /// are local to a group, so windowing trades only cross-window candidate
+  /// choice.
   std::size_t greedy_window = 0;
   /// Windowed CoVG/KLDG only: run the windows concurrently on the caller's
-  /// ThreadPool. Each window derives its own counter-based RNG stream
-  /// (rng.fork(window_index) — fork is const, so streams are independent of
-  /// execution order) and groups are emitted in deterministic window order;
-  /// the result is bit-identical for any pool size, including none. The
-  /// default (false) threads one RNG through the windows serially,
-  /// byte-identical to previous releases; the two modes draw different
-  /// streams, so they produce different (statistically equivalent)
-  /// groupings — quality parity is ctest-gated on the fig12 grid.
+  /// ThreadPool instead of one after another. Concurrency only: every
+  /// window draws from its own fork either way and groups are emitted in
+  /// window order, so the result is the same for both values and any pool
+  /// size, including none.
   bool parallel_windows = false;
 
   friend bool operator==(const GroupingParams&,
                          const GroupingParams&) = default;
 };
 
-/// The paper's Algorithm 2 (greedy CoV grouping). `pool` is used only by
-/// the parallel-windows mode (see GroupingParams::parallel_windows).
+/// The paper's Algorithm 2 (greedy CoV grouping). `pool` is used only to
+/// run windows concurrently (see GroupingParams::parallel_windows).
 [[nodiscard]] Grouping cov_grouping(const data::LabelMatrix& matrix,
                                     const GroupingParams& params,
                                     runtime::Rng& rng,
@@ -73,10 +70,10 @@ struct GroupingParams {
                                     runtime::Rng& rng,
                                     runtime::ThreadPool* pool = nullptr);
 
-/// SHARE's KLD-based greedy: like Algorithm 2 but the criterion is the
-/// Kullback–Leibler divergence between the group's label distribution and
-/// the global one, recomputed from scratch per candidate (hence the
-/// O(|K|^4 |Y|) complexity the paper measures in Fig. 5).
+/// SHARE's KLD-based greedy: Algorithm 2's greedy with the Kullback–Leibler
+/// divergence between the group's label distribution and the global one as
+/// the criterion. Same KLD values and groups as SHARE's per-candidate
+/// re-sum, at O(|K|^3 |Y|) log() calls (see greedy.cpp).
 [[nodiscard]] Grouping kldg_grouping(const data::LabelMatrix& matrix,
                                      const GroupingParams& params,
                                      runtime::Rng& rng,
@@ -96,8 +93,9 @@ enum class GroupingMethod { kRandom, kCdg, kKldg, kCov };
 [[nodiscard]] GroupingMethod grouping_method_from_string(const std::string& name);
 
 /// Validates that `grouping` is a partition of [0, matrix.num_clients());
-/// throws std::logic_error otherwise. Called by form_groups in debug paths
-/// and by tests.
+/// throws std::logic_error otherwise. form_groups checks its result with it
+/// when debug checks are on (GROUPFEL_DEBUG_CHECKS, as for GF_DCHECK); tests
+/// call it directly.
 void validate_partition(const Grouping& grouping, std::size_t num_clients);
 
 /// Summary statistics used by Table 1 and Fig. 6.

@@ -5,12 +5,10 @@
 
 namespace groupfel::grouping {
 
-Grouping form_groups(GroupingMethod method, const data::LabelMatrix& matrix,
-                     const GroupingParams& params, runtime::Rng& rng,
-                     runtime::ThreadPool* pool) {
-  GF_CHECK(params.min_group_size >= 1,
-           "form_groups: min_group_size must be >= 1");
-  GF_CHECK(matrix.num_clients() > 0, "form_groups: no clients");
+namespace {
+Grouping dispatch(GroupingMethod method, const data::LabelMatrix& matrix,
+                  const GroupingParams& params, runtime::Rng& rng,
+                  runtime::ThreadPool* pool) {
   switch (method) {
     case GroupingMethod::kRandom:
       return random_grouping(matrix, params, rng, pool);
@@ -20,6 +18,20 @@ Grouping form_groups(GroupingMethod method, const data::LabelMatrix& matrix,
     case GroupingMethod::kCov: return cov_grouping(matrix, params, rng, pool);
   }
   throw std::invalid_argument("form_groups: unknown method");
+}
+}  // namespace
+
+Grouping form_groups(GroupingMethod method, const data::LabelMatrix& matrix,
+                     const GroupingParams& params, runtime::Rng& rng,
+                     runtime::ThreadPool* pool) {
+  GF_CHECK(params.min_group_size >= 1,
+           "form_groups: min_group_size must be >= 1");
+  GF_CHECK(matrix.num_clients() > 0, "form_groups: no clients");
+  Grouping groups = dispatch(method, matrix, params, rng, pool);
+#if GROUPFEL_DEBUG_CHECKS
+  validate_partition(groups, matrix.num_clients());
+#endif
+  return groups;
 }
 
 std::string to_string(GroupingMethod method) {

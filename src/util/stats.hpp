@@ -37,10 +37,13 @@ struct QuadraticFit {
 [[nodiscard]] QuadraticFit fit_quadratic(std::span<const double> x,
                                          std::span<const double> y);
 
+/// Default additive smoothing of kl_divergence.
+inline constexpr double kKlSmoothing = 1e-9;
+
 /// Kullback–Leibler divergence KL(p || q) with additive smoothing `eps`
 /// applied to both distributions (SHARE's grouping criterion).
 [[nodiscard]] double kl_divergence(std::span<const double> p,
                                    std::span<const double> q,
-                                   double eps = 1e-9);
+                                   double eps = kKlSmoothing);
 
 }  // namespace groupfel::util
