@@ -6,7 +6,11 @@
 //
 // Reproduction: wall-clock time of our four implementations on identical
 // Dirichlet-partitioned label matrices, client counts 200..1000 (scaled by
-// GROUPFEL_BENCH_SCALE). Expected ordering: RG < CDG < CoVG << KLDG.
+// GROUPFEL_BENCH_SCALE). CoVG and KLDG share one greedy skeleton with
+// incremental group counts, so both are O(|K|^3 |Y|); KLDG's groups and
+// KLD values are SHARE's, but the |K|^4 of SHARE's per-candidate re-sum is
+// gone and the remaining gap is one log() per label per candidate.
+// Expected ordering: RG < CDG < CoVG << KLDG.
 #include "bench_common.hpp"
 #include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
